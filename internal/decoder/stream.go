@@ -32,19 +32,12 @@ import (
 // detection) to Flush, and CancellationRounds > 0 retains a copy of
 // the raw samples because successive interference cancellation must
 // subtract reconstructed waveforms from the original capture.
-//
-// With Config.PipelineParallelism ≥ 2 the decoder runs as a stage
-// graph instead: edge detection and walking/commit own goroutines
-// connected by bounded queues (see pipeline.go), with the same
-// bit-identical result.
 type StreamDecoder struct {
 	cfg        Config
 	workers    int
 	shardW     int // ≥ 2 when sharded decode is on (Config.ShardParallelism)
 	sampleRate float64
 	det        *edgedetect.Stream
-	dv         detSource // what pump reads; see detSource
-	pipe       *pipeline // non-nil on the pipelined path
 	src        *rng.Source
 	regCut     int64
 
@@ -80,21 +73,6 @@ type StreamDecoder struct {
 	res  *Result
 	err  error
 	done bool
-}
-
-// detSource is the detector state the pump stages read: the finalized
-// edge prefix, soft measurements, and the progress horizons. The
-// serial path points it at the live edgedetect.Stream; the pipelined
-// path points it at the current token's immutable edgedetect.View, so
-// the same pump code runs bit-identically in both modes.
-type detSource interface {
-	streams.EdgeSource
-	EdgeComplete() int64
-	Front() int64
-	Closed() bool
-	Calibrated() bool
-	NoiseFloor() float64
-	SetLowWater(pos int64)
 }
 
 // NewStreamDecoder builds a streaming decoder. sampleRate describes
@@ -145,10 +123,6 @@ func NewStreamDecoder(sampleRate float64, cfg Config) (*StreamDecoder, error) {
 		timed:      m.Registry != nil,
 		res:        &Result{},
 	}
-	sd.dv = det
-	if cfg.PipelineParallelism >= 2 {
-		sd.pipe = newPipeline(sd)
-	}
 	return sd, nil
 }
 
@@ -173,11 +147,11 @@ func (sd *StreamDecoder) observe(t *obs.Timing, t0 time.Time) {
 }
 
 // Push feeds one block of IQ samples and advances every pipeline stage
-// as far as the new samples allow.
+// as far as the new samples allow. Edge detection and the pump
+// (registration, walking, commit) are timed separately as
+// stage.detect_ns and stage.walk_ns; stage.push_ns covers the whole
+// call.
 func (sd *StreamDecoder) Push(block []complex128) error {
-	if sd.pipe != nil {
-		return sd.pipe.push(block, false)
-	}
 	if sd.err != nil {
 		return sd.err
 	}
@@ -191,11 +165,15 @@ func (sd *StreamDecoder) Push(block []complex128) error {
 		}
 		sd.retain = append(sd.retain, block...)
 	}
+	td := sd.now()
 	if err := sd.det.Push(block); err != nil {
 		sd.err = errAt(StageEdgeDetect, sd.det.Front(), err)
 		return sd.err
 	}
+	sd.observe(sd.m.Stage.Detect, td)
+	tw := sd.now()
 	sd.pump()
+	sd.observe(sd.m.Stage.Walk, tw)
 	sd.observe(sd.m.Stage.Push, t0)
 	return sd.err
 }
@@ -206,9 +184,6 @@ func (sd *StreamDecoder) Push(block []complex128) error {
 // front end can hand off pooled buffers with zero copies. The caller
 // must not touch block afterwards.
 func (sd *StreamDecoder) PushOwned(block []complex128) error {
-	if sd.pipe != nil {
-		return sd.pipe.push(block, true)
-	}
 	err := sd.Push(block)
 	pool.PutComplex(block)
 	return err
@@ -218,9 +193,6 @@ func (sd *StreamDecoder) PushOwned(block []complex128) error {
 // cancellation rounds, which need the whole capture), and returns the
 // final result — identical to what batch Decode returns.
 func (sd *StreamDecoder) Flush() (*Result, error) {
-	if sd.pipe != nil {
-		return sd.pipe.flush()
-	}
 	if sd.err != nil {
 		return nil, sd.err
 	}
@@ -236,16 +208,6 @@ func (sd *StreamDecoder) Flush() (*Result, error) {
 	if sd.err != nil {
 		return nil, sd.err
 	}
-	return sd.flushTail(t0)
-}
-
-// flushTail finishes a flush once the detector has closed and every
-// pump stage has drained: SIC rounds, result assembly, final metric
-// accounting, emission, and buffer release. Shared verbatim by the
-// serial path and the pipelined path (which reaches here only after
-// joining its stage goroutines, so the direct det access is serial
-// again).
-func (sd *StreamDecoder) flushTail(t0 time.Time) (*Result, error) {
 	if sd.cfg.CancellationRounds > 0 {
 		tc := sd.now()
 		// A panic inside cancellation quarantines the whole SIC stage:
@@ -362,9 +324,6 @@ func (sd *StreamDecoder) recordFinal() {
 // by cancellation. Pool slack beyond the live windows is excluded (see
 // edgedetect.Stream.RetainedBytes).
 func (sd *StreamDecoder) RetainedBytes() int64 {
-	if sd.pipe != nil {
-		return sd.pipe.retainedBytes()
-	}
 	n := sd.det.RetainedBytes()
 	if !sd.retainExt {
 		n += int64(len(sd.retain)) * 16
@@ -376,19 +335,19 @@ func (sd *StreamDecoder) RetainedBytes() int64 {
 // detector's finalized-edge front allows, then slides the detector's
 // sample window past everything no stage can still read.
 func (sd *StreamDecoder) pump() {
-	if sd.tracer != nil && !sd.calibTraced && sd.dv.Calibrated() {
+	if sd.tracer != nil && !sd.calibTraced && sd.det.Calibrated() {
 		sd.calibTraced = true
 		// Pos is the configured calibration prefix — or the full
 		// capture length when calibration deferred to Close — so the
 		// event content is block-size independent.
 		pos := sd.cfg.CalibSamples
-		if pos <= 0 || sd.dv.Closed() {
-			pos = sd.dv.Front()
+		if pos <= 0 || sd.det.Closed() {
+			pos = sd.det.Front()
 		}
 		sd.tracer.Trace(obs.SpanEvent{Stage: "calibrate", Stream: -1, Pos: pos})
 	}
 	if !sd.registered {
-		if sd.dv.EdgeComplete() < sd.regCut && !sd.dv.Closed() {
+		if sd.det.EdgeComplete() < sd.regCut && !sd.det.Closed() {
 			return
 		}
 		sd.register()
@@ -407,7 +366,7 @@ func (sd *StreamDecoder) pump() {
 // Registration reads nothing past streams.RegistrationHorizon, so the
 // prefix decides identically to the eventual full edge list.
 func (sd *StreamDecoder) register() {
-	sts, err := streams.Register(sd.dv.Edges(), sd.cfg.Streams, sd.cfg.PayloadBits)
+	sts, err := streams.Register(sd.det.Edges(), sd.cfg.Streams, sd.cfg.PayloadBits)
 	if err != nil {
 		sd.err = errAt(StageRegister, -1, err)
 		return
@@ -442,14 +401,14 @@ func (sd *StreamDecoder) register() {
 // — the edges inside its pick window and the samples under its soft
 // measurement — are final. In sharded decode the walkers fan out
 // across the worker pool: each Step mutates only walker-local state
-// and performs pure reads on the detector source (finalized edges,
+// and performs pure reads on the detector (finalized edges,
 // prefix-sum measurements), so per-walker goroutines are race-free,
 // and per-index quarantine capture keeps the panic taxonomy identical
 // to the serial loop.
 func (sd *StreamDecoder) stepWalkers() {
-	closed := sd.dv.Closed()
-	edgeDone := sd.dv.EdgeComplete()
-	front := sd.dv.Front()
+	closed := sd.det.Closed()
+	edgeDone := sd.det.EdgeComplete()
+	front := sd.det.Front()
 	measureSpan := sd.cfg.Edge.Gap + sd.cfg.Edge.Win + 1
 	step := func(i int) {
 		defer func() {
@@ -462,7 +421,7 @@ func (sd *StreamDecoder) stepWalkers() {
 			if !closed && (edgeDone < w.Horizon() || front < w.MeasurePos()+measureSpan) {
 				break
 			}
-			w.Step(sd.dv)
+			w.Step(sd.det)
 		}
 	}
 	if sd.shardW >= 2 && len(sd.walkers) > 1 {
@@ -491,7 +450,7 @@ func (sd *StreamDecoder) maybeCommit() {
 			return
 		}
 	}
-	if !sd.dv.Closed() && (sd.dv.EdgeComplete() < sd.commitCut || sd.dv.Front() < sd.commitCut) {
+	if !sd.det.Closed() && (sd.det.EdgeComplete() < sd.commitCut || sd.det.Front() < sd.commitCut) {
 		return
 	}
 	t0 := sd.now()
@@ -518,7 +477,7 @@ func (sd *StreamDecoder) maybeCommit() {
 		}
 		others := make([]*StreamResult, len(snapshot))
 		errs := sd.meter.DoRecover(sd.workers, len(snapshot), func(i int) {
-			if other, ok := trySplit(snapshot[i], sd.dv, sd.cfg, splitSrcs[i]); ok {
+			if other, ok := trySplit(snapshot[i], sd.det, sd.cfg, splitSrcs[i]); ok {
 				others[i] = other
 			}
 		})
@@ -556,7 +515,7 @@ func (sd *StreamDecoder) maybeCommit() {
 			resolveCollisions(results, sd.cfg, sd.src.Split("collisions"), sd.res)
 		}()
 	}
-	sigma2 := obsNoiseVariance(sd.dv.NoiseFloor())
+	sigma2 := obsNoiseVariance(sd.det.NoiseFloor())
 	errs := sd.meter.DoRecover(sd.workers, len(results), func(i int) {
 		if hook := sd.cfg.testStreamHook; hook != nil {
 			hook(results[i])
@@ -603,10 +562,10 @@ func (sd *StreamDecoder) dropStream(sr *StreamResult, detail string) {
 // truncation span. Only fires when the commit happens at Flush — a
 // frame that committed mid-capture was complete by construction.
 func (sd *StreamDecoder) markTruncated(results []*StreamResult) {
-	if !sd.dv.Closed() {
+	if !sd.det.Closed() {
 		return
 	}
-	total := sd.dv.Front()
+	total := sd.det.Front()
 	for _, sr := range results {
 		nominal := streams.FrameSlots(sd.cfg.Streams, sd.cfg.PayloadBits(sr.Stream.Rate))
 		if nominal > len(sr.Slots) {
@@ -648,10 +607,10 @@ func (sd *StreamDecoder) emitFrames() {
 // updateLowWater slides the detector's sample window past everything
 // the remaining stages can still measure.
 func (sd *StreamDecoder) updateLowWater() {
-	if !sd.registered || sd.pinned || sd.dv.Closed() {
+	if !sd.registered || sd.pinned || sd.det.Closed() {
 		return
 	}
-	low := sd.dv.Front()
+	low := sd.det.Front()
 	if !sd.committed {
 		for i, w := range sd.walkers {
 			if w.Done() || sd.quarantined[i] != "" {
@@ -663,6 +622,6 @@ func (sd *StreamDecoder) updateLowWater() {
 		}
 	}
 	if low > 0 {
-		sd.dv.SetLowWater(low)
+		sd.det.SetLowWater(low)
 	}
 }

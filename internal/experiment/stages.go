@@ -8,14 +8,12 @@ import (
 	"lf/internal/stats"
 )
 
-// Stages profiles the pipelined streaming decoder's stage graph: one
-// instrumented decode with PipelineParallelism=2, broken down into
-// per-stage wall time, per-item latency, and occupancy (stage busy
-// time over decode wall time), plus the bounded-queue statistics —
-// high-water depth, producer/consumer stall time, tokens moved. The
-// occupancy column is the capacity-planning number: a stage near 100%
-// is the pipeline's bottleneck, and the sum over stages divided by
-// the number of pipelined stages is the achievable multicore speedup.
+// Stages profiles the default serial streaming decode: one
+// instrumented decode broken down into per-stage wall time, per-item
+// latency, and share of the decode's wall time. Detect (edge
+// detection) and walk (registration, walking, commit) partition each
+// Push; commit is a subset of walk, and cancel (the SIC rounds) a
+// subset of flush.
 func Stages(cfg Config) (*Result, error) {
 	tags := 8
 	if cfg.Quick {
@@ -36,7 +34,6 @@ func Stages(cfg Config) (*Result, error) {
 	dcfg := net.DecoderConfig()
 	dcfg.Parallelism = cfg.Workers
 	dcfg.CalibSamples = streamCalibSamples
-	dcfg.PipelineParallelism = 2
 	dec, err := lf.NewDecoder(dcfg)
 	if err != nil {
 		return nil, err
@@ -56,16 +53,17 @@ func Stages(cfg Config) (*Result, error) {
 	snap := sd.Stats()
 
 	table := &stats.Table{
-		Title: fmt.Sprintf("Stage graph breakdown — %d tags, block %d, pipeline=2, wall %.2f ms",
+		Title: fmt.Sprintf("Streaming decode stage breakdown — %d tags, block %d, wall %.2f ms",
 			tags, streamBlock, wall.Seconds()*1e3),
-		Header: []string{"stage", "items", "total ms", "mean µs", "occupancy"},
+		Header: []string{"stage", "items", "total ms", "mean µs", "share"},
 	}
-	series := []stats.Series{{Label: "occupancy %"}}
+	series := []stats.Series{{Label: "share %"}}
 	for i, row := range []struct{ label, timing string }{
-		{"push (caller)", "stage.push_ns"},
+		{"push", "stage.push_ns"},
 		{"detect", "stage.detect_ns"},
 		{"walk", "stage.walk_ns"},
 		{"commit", "stage.commit_ns"},
+		{"cancel", "stage.cancel_ns"},
 		{"flush", "stage.flush_ns"},
 	} {
 		t := snap.Timings[row.timing]
@@ -73,23 +71,11 @@ func Stages(cfg Config) (*Result, error) {
 		if t.Count > 0 {
 			mean = float64(t.TotalNs) / float64(t.Count) / 1e3
 		}
-		occ := float64(t.TotalNs) / float64(wall.Nanoseconds()) * 100
+		share := float64(t.TotalNs) / float64(wall.Nanoseconds()) * 100
 		table.AddRow(row.label, fmt.Sprint(t.Count),
 			fmt.Sprintf("%.2f", float64(t.TotalNs)/1e6),
-			fmt.Sprintf("%.1f", mean), fmt.Sprintf("%.0f%%", occ))
-		series[0].Add(float64(i), occ)
-	}
-	for _, q := range []struct{ label, prefix string }{
-		{"queue ingest", "pipe.ingest"},
-		{"queue tokens", "pipe.token"},
-	} {
-		pushStall := snap.Timings[q.prefix+"_push_stall_ns"]
-		popStall := snap.Timings[q.prefix+"_pop_stall_ns"]
-		table.AddRow(q.label,
-			fmt.Sprint(snap.Counters[q.prefix+"_items"]),
-			fmt.Sprintf("stall %.2f/%.2f", float64(pushStall.TotalNs)/1e6, float64(popStall.TotalNs)/1e6),
-			fmt.Sprintf("depth %d", snap.Gauges[q.prefix+"_depth"]),
-			"-")
+			fmt.Sprintf("%.1f", mean), fmt.Sprintf("%.0f%%", share))
+		series[0].Add(float64(i), share)
 	}
 	return &Result{Table: table, Series: series}, nil
 }

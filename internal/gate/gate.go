@@ -43,7 +43,7 @@ type Config struct {
 	// gateway simply withholds the ack — the reader's send window
 	// fills and the reader blocks, flow-controlled, never dropped.
 	// 0 selects 1 GiB. It must exceed the decoder's resident window
-	// (calibration + Viterbi horizon + stage queues) or throttling
+	// (calibration + Viterbi horizon) or throttling
 	// degrades to MaxThrottle pacing.
 	MaxRetained int64
 	// MaxThrottle caps how long one chunk may wait in the admission

@@ -74,8 +74,8 @@ func TestSICIncrementalMatchesFullResidual(t *testing.T) {
 
 // TestSICEquivalenceComposition pins that the incremental mechanics
 // compose with every execution shape the decoder offers — push block
-// size (single-sample pushes included), shard-parallel edge detection,
-// and the pipeline-parallel stage graph — and that the incremental
+// size (single-sample pushes included) and shard-parallel edge
+// detection — and that the incremental
 // result is invariant across all of those cells: the decode is a pure
 // function of the sample sequence, so reshaping who computes what must
 // change nothing.
@@ -110,13 +110,6 @@ func TestSICEquivalenceComposition(t *testing.T) {
 				scfg.ShardParallelism = shards
 				check("shards", scfg, 4096)
 				check("shards+block=whole", scfg, whole)
-			}
-			pcfg := rcfg
-			pcfg.ShardParallelism = 2
-			pcfg.PipelineParallelism = 2
-			for _, depth := range []int{1, 4} {
-				pcfg.StageDepth = depth
-				check("pipeline+shards", pcfg, 4096)
 			}
 			if testing.Short() {
 				return
