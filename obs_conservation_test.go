@@ -161,3 +161,38 @@ func TestMetricsConservation(t *testing.T) {
 		})
 	}
 }
+
+// TestStageTimingsPartitionPush pins the per-stage wall-time ledger on
+// the default streaming decode: every Push times edge detection and
+// the pump (registration, walking, commit) separately, both are
+// recorded, and together they never exceed the Push total they
+// partition.
+func TestStageTimingsPartitionPush(t *testing.T) {
+	ep, cfg := buildEpoch(t, 4, 11)
+	cfg.CalibSamples = 32768
+	dec, err := lf.NewDecoder(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sd, err := dec.NewStream()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ep.Blocks(8192, sd.Push); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sd.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tm := sd.Stats().Timings
+	push, detect, walk := tm["stage.push_ns"], tm["stage.detect_ns"], tm["stage.walk_ns"]
+	if detect.TotalNs <= 0 || walk.TotalNs <= 0 {
+		t.Fatalf("stage timings not recorded: detect %d ns, walk %d ns", detect.TotalNs, walk.TotalNs)
+	}
+	if detect.Count != push.Count || walk.Count != push.Count {
+		t.Fatalf("timed %d detects and %d walks over %d pushes", detect.Count, walk.Count, push.Count)
+	}
+	if detect.TotalNs+walk.TotalNs > push.TotalNs {
+		t.Fatalf("detect %d ns + walk %d ns exceeds push %d ns", detect.TotalNs, walk.TotalNs, push.TotalNs)
+	}
+}
