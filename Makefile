@@ -3,7 +3,7 @@ FUZZTIME ?= 30s
 
 .PHONY: all build vet test race race-stream bench benchjson benchguard \
 	fuzz fuzz-smoke kernel-smoke obs-smoke shard-smoke \
-	sic-smoke dist-smoke gate-smoke robustness-smoke profile ci clean
+	sic-smoke gate-smoke robustness-smoke profile ci clean
 
 all: build
 
@@ -51,23 +51,22 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzBlockReader -fuzztime $(FUZZTIME) ./internal/iq
 	$(GO) test -run '^$$' -fuzz FuzzReadCapture -fuzztime $(FUZZTIME) ./internal/iq
 	$(GO) test -run '^$$' -fuzz FuzzStreamPush -fuzztime $(FUZZTIME) ./internal/decoder
-	$(GO) test -run '^$$' -fuzz FuzzWireFrame -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzGateFrame -fuzztime $(FUZZTIME) ./internal/gate
 	$(GO) test -run '^$$' -fuzz FuzzPrefixRepair -fuzztime $(FUZZTIME) ./internal/dsp
+	$(GO) test -run '^$$' -fuzz FuzzDiffSweep -fuzztime $(FUZZTIME) ./internal/dsp
 
 # Short-budget fuzz pass for CI: enough executions to catch decode-path
 # panics on adversarial input without stalling the gate.
 fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=5s
 
-# Kernel-equivalence smoke: fuzz the coarse-to-fine sweep against the
-# dense reference (skip soundness + guard-range coverage, DESIGN.md
-# §12), plus the direct unit equivalence suites for the SoA kernels,
-# quickselect median, and windowed NMS.
+# Kernel-equivalence smoke: fuzz the SoA sweep kernel bit-for-bit
+# against the complex128 reference (DESIGN.md §12), plus the direct
+# unit equivalence suites for the SoA prefix sums, quickselect median,
+# and windowed NMS.
 kernel-smoke:
-	$(GO) test -run 'TestPrefixSoA|TestDiffSweep|TestMedianFloat|TestSuppress' ./internal/dsp
-	$(GO) test -run '^$$' -fuzz FuzzDiffSweepSparse -fuzztime 5s ./internal/dsp
-	$(GO) test -run TestSparseSweepMatchesDense -short .
+	$(GO) test -run 'TestPrefixSoA|TestMedianFloat|TestSuppress' ./internal/dsp
+	$(GO) test -run '^$$' -fuzz FuzzDiffSweep -fuzztime 5s ./internal/dsp
 
 # Observability smoke: the golden-trace corpus (batch + streaming,
 # byte-for-byte against testdata/golden/) and the metrics conservation
@@ -81,11 +80,11 @@ obs-smoke:
 
 # Sharded-decode smoke: the shard-vs-serial byte-identity sweep (shard
 # counts {1,2,8} x block sizes x all fault kinds, batch + SIC
-# inheritance, stats conservation, timing-independent retention,
-# shutdown leak check) under the race detector, plus the shard pool/tiling
-# primitives' unit tests.
+# inheritance, stats conservation, shutdown leak check) and the
+# detector-level timing-independent retention test under the race
+# detector, plus the shard pool/tiling primitives' unit tests.
 shard-smoke:
-	$(GO) test -race -run 'TestSharded' .
+	$(GO) test -race -run 'TestSharded' . ./internal/edgedetect
 	$(GO) test -race ./internal/shard
 
 # Incremental-SIC smoke: the dirty-span vs ForceFullResidual
@@ -97,17 +96,6 @@ sic-smoke:
 	$(GO) test -race -run 'TestSIC' .
 	$(GO) test -run 'TestRepairPrefix' ./internal/dsp
 	$(GO) run ./cmd/lfbench -exp sic -quick
-
-# Distributed-decode smoke: the loopback acceptance matrix (worker
-# counts {1,2,4} x transport fault kinds at severity 0.5, forced
-# hedging, fleet-drain fallback, shard quarantine, stats conservation —
-# every cell asserting byte-identity against the single-machine sharded
-# decode) under the race detector, plus the wire/lease/hedge unit suite
-# and a two-worker transport-fault sweep through the bench harness.
-dist-smoke:
-	$(GO) test -race -run 'TestDistributed' .
-	$(GO) test -race ./internal/dist
-	$(GO) run ./cmd/lfbench -exp dist -quick
 
 # Reader-gateway smoke: the gateway lifecycle suite (resume, kill
 # mid-stream flush, double-Close, connect/disconnect storm, slow-sink
@@ -132,7 +120,7 @@ profile:
 	$(GO) run ./cmd/lfbench -benchjson /tmp/lfbench-profile.json \
 		-cpuprofile lfbench.cpu.prof -memprofile lfbench.mem.prof
 
-ci: vet build test race race-stream fuzz-smoke kernel-smoke obs-smoke shard-smoke sic-smoke dist-smoke gate-smoke robustness-smoke benchguard
+ci: vet build test race race-stream fuzz-smoke kernel-smoke obs-smoke shard-smoke sic-smoke gate-smoke robustness-smoke benchguard
 
 clean:
 	$(GO) clean ./...

@@ -645,32 +645,6 @@ func buildBenchReport(seed int64) (*benchReport, error) {
 	}
 	report.PipelineStats = ss.Stats()
 
-	// A/B the coarse-to-fine sweep against the forced-dense kernel on
-	// the same streaming decode (informational, not gated): the ratio
-	// of decode/streaming/dense to decode/streaming is the sparse
-	// kernel's whole-pipeline win.
-	dcfg := net.DecoderConfig()
-	dcfg.CalibSamples = streamBenchCalib
-	dcfg.ForceDenseSweep = true
-	ddec, err := lf.NewDecoder(dcfg)
-	if err != nil {
-		return nil, err
-	}
-	report.Benchmarks = append(report.Benchmarks, measure("decode/streaming/dense", 0, func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s, err := ddec.NewStream()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := ep.Blocks(streamBenchBlock, s.Push); err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.Flush(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}))
-
 	report.Benchmarks = append(report.Benchmarks, measure("synthesize", 0, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := net.RunEpoch(); err != nil {

@@ -27,7 +27,7 @@ type runner struct {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (all, table1, fig1, fig2, fig4, fig5, fig8, fig9, fig10, fig11, fig12, table2, table3, fig13, fig14, dynamics, reliable, streaming, sic, stages, robustness, dist, ablation)")
+	exp := flag.String("exp", "all", "experiment to run (all, table1, fig1, fig2, fig4, fig5, fig8, fig9, fig10, fig11, fig12, table2, table3, fig13, fig14, dynamics, reliable, streaming, sic, stages, robustness, ablation)")
 	seed := flag.Int64("seed", 1, "random seed")
 	epochs := flag.Int("epochs", 3, "epochs per measured point")
 	quick := flag.Bool("quick", false, "trim sweeps for a fast smoke run")
@@ -107,7 +107,6 @@ func main() {
 		{"sic", experiment.SIC},
 		{"stages", experiment.Stages},
 		{"robustness", experiment.Robustness},
-		{"dist", experiment.Dist},
 		{"scalability", experiment.ScalabilityLowRate},
 		{"capacity", experiment.CapacityModel},
 		{"ablation", runAblations},

@@ -97,14 +97,6 @@ type Config struct {
 	// as one block and the shards drain at Flush — as do SIC residual
 	// decodes, which inherit the setting.
 	ShardParallelism int
-	// StripeRunner, when non-nil and ShardParallelism ≥ 2, executes
-	// each sweep stripe instead of the in-process kernel — the
-	// distributed coordinator (internal/dist) hooks here to ship
-	// stripes to remote workers. The runner must fill the job's Dst
-	// with exactly the bytes StripeJob.Run would produce, or return an
-	// error (which poisons that stripe like an in-process panic). SIC
-	// residual decodes inherit it with the rest of the config.
-	StripeRunner func(*edgedetect.StripeJob) error
 	// CalibSamples bounds the edge detector's noise calibration to the
 	// first CalibSamples differential magnitudes, which is what lets
 	// the streaming decoder start detecting — and bound its memory —
@@ -113,11 +105,6 @@ type Config struct {
 	// to end of capture. Batch Decode honours the same knob, so batch
 	// and streaming stay bit-identical at any setting.
 	CalibSamples int64
-	// ForceDenseSweep disables the edge detector's coarse-to-fine
-	// differential sweep (DESIGN.md §12), forcing the dense kernel at
-	// every position. The decode is bit-identical either way; the knob
-	// exists for A/B benchmarking and debugging.
-	ForceDenseSweep bool
 	// ForceFullResidual disables incremental SIC (DESIGN.md §17),
 	// reverting every cancellation round to the historical mechanics: a
 	// freshly allocated residual buffer, a full re-subtraction of every
@@ -128,8 +115,7 @@ type Config struct {
 	// span-locally, and seeds the residual pass's detector with the
 	// repaired lanes and the first pass's calibration. The decode is
 	// byte-identical either way (sic_equivalence_test.go pins the
-	// matrix); the knob exists for A/B benchmarking and debugging,
-	// mirroring ForceDenseSweep.
+	// matrix); the knob exists for A/B benchmarking and debugging.
 	ForceFullResidual bool
 	// ViterbiWindow is the sliding trellis window of the sequence
 	// decoder: survivor paths commit as they merge and are truncated at

@@ -474,9 +474,10 @@ func foldLanes(re, im []float64, residual []complex128, regions []shard.Range) b
 func (sd *StreamDecoder) seedLanes(st *sicState, residual []complex128, active, regions []shard.Range, calib *edgedetect.CalibPreset) *edgedetect.SweepSeed {
 	n := len(residual)
 	if calib == nil || !st.seedable() {
-		// No calibration to carry means no seeded detector (a seed
-		// requires a preset threshold for the sparse sweep); the push
-		// path recalibrates as the historical semantics did.
+		// No calibration to carry means no seeded detector (a masked
+		// sweep cannot calibrate, so a seed requires a preset
+		// threshold); the push path recalibrates as the historical
+		// semantics did.
 		st.seeded = false
 		return nil
 	}
@@ -660,13 +661,13 @@ func mergeRanges(spans []shard.Range) []shard.Range {
 
 // dirtyClosure is the residual pass's detection mask: the touched
 // spans widened by the sweep's cut distance (shard.SweepReach — beyond
-// it every windowed differential reads byte-identical input, the
-// §12/§15 argument), then closed over the widened extents of decoded
-// streams they overlap. A stream straddling a dirty span must stay
-// fully visible to the residual pass — masking half of it would
-// re-register the visible half as a phantom partial — and its extent
-// can in turn overlap further streams, so the union iterates to a
-// fixpoint (collision chains). Returns nil (sweep everything) when
+// it every windowed differential and every scan/centroid read sees
+// byte-identical input, DESIGN.md §15), then closed over the widened
+// extents of decoded streams they overlap. A stream straddling a dirty
+// span must stay fully visible to the residual pass — masking half of
+// it would re-register the visible half as a phantom partial — and its
+// extent can in turn overlap further streams, so the union iterates to
+// a fixpoint (collision chains). Returns nil (sweep everything) when
 // there are no touched spans.
 func (sd *StreamDecoder) dirtyClosure(touched []shard.Range, reach int64, n int) []shard.Range {
 	active := widenRanges(touched, reach, n)

@@ -87,9 +87,6 @@ func NewStreamDecoder(sampleRate float64, cfg Config) (*StreamDecoder, error) {
 	if ecfg.Parallelism == 0 {
 		ecfg.Parallelism = workers
 	}
-	if cfg.ForceDenseSweep {
-		ecfg.DenseSweep = true
-	}
 	m := cfg.metrics()
 	var meter *work.Meter
 	if m.Registry != nil {
@@ -103,8 +100,7 @@ func NewStreamDecoder(sampleRate float64, cfg Config) (*StreamDecoder, error) {
 		Config: ecfg, CalibSamples: cfg.CalibSamples,
 		Metrics: m.Edge, Meter: meter,
 		ShardWorkers: shardW, Shards: m.Shard,
-		StripeRunner: cfg.StripeRunner,
-		Calib:        cfg.sicCalib, Seed: cfg.sicSeed,
+		Calib: cfg.sicCalib, Seed: cfg.sicSeed,
 	})
 	if err != nil {
 		return nil, err

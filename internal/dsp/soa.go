@@ -11,7 +11,7 @@
 // zero imaginary divisor reduces to exactly those two divisions — and
 // every kernel below performs the same operations in the same order as
 // the reference Prefix/meanRange code. TestPrefixSoAMatchesComplex and
-// FuzzDiffSweepSparse pin the equivalence.
+// FuzzDiffSweep pin the equivalence.
 package dsp
 
 import (
@@ -142,102 +142,4 @@ func DiffSweep(re, im []float64, j0 int, gap, win int64, dst []float64) {
 		di := (aHiI[i]-aLoI[i])/fw - (bHiI[i]-bLoI[i])/fw
 		dst[i] = math.Hypot(dr, di)
 	}
-}
-
-// sparseBlock is the coarse-pass granularity of DiffSweepSparse.
-// Smaller blocks skip more aggressively around isolated edges; larger
-// blocks amortize the interval-bound test better. 64 positions sits
-// between the default MinSpacing (5) and the typical inter-edge
-// spacing at the paper's oversampling ratios.
-const sparseBlock = 64
-
-// DiffSweepSparse is DiffSweep with a coarse-to-fine skip: positions
-// are processed in blocks, and a block whose windowed differential
-// provably stays below threshold across the whole block — plus `guard`
-// positions of context on each side — is zero-filled without computing
-// a single divide or hypot.
-//
-// The proof obligation (DESIGN.md §12): for each block the kernel
-// computes min/max interval bounds of the windowed sums T(q) =
-// S[q+win] − S[q] over the after- and before-window ranges of every
-// position in the guard-widened block, then evaluates the extreme
-// differential components with the very operations the dense kernel
-// uses ((T/win rounded, then subtracted)). Rounding to nearest is
-// monotone, so the computed dense differential of every covered
-// position lies inside the computed interval; a relative 1e-12 slack
-// (three orders beyond the few-ulp hypot and square-root error) makes
-// the comparison against threshold conservative. Consequently:
-//
-//   - a zero-filled position's dense magnitude is strictly below
-//     threshold (it can never become a peak), and
-//   - every position within `guard` samples of any position whose
-//     dense magnitude reaches threshold is computed exactly (peak
-//     candidates, their scan neighbours, and their full centroid
-//     windows all read dense-identical values).
-//
-// intLo/intHi clamp the guard ranges to interior prefix indices —
-// positions outside are blanked by the caller in both the dense and
-// sparse paths, so excluding them never weakens the coverage.
-func DiffSweepSparse(re, im []float64, j0 int, gap, win, guard int64, threshold float64, intLo, intHi int, dst []float64) {
-	g, w := int(gap), int(win)
-	gd := int(guard)
-	fw := float64(win)
-	n := len(dst)
-	for b0 := 0; b0 < n; b0 += sparseBlock {
-		b1 := min(b0+sparseBlock, n)
-		glo := max(j0+b0-gd, intLo)
-		ghi := min(j0+b1+gd, intHi)
-		minAr, maxAr, minAi, maxAi := minMaxWin(re, im, glo+g, ghi+g, w)
-		minBr, maxBr, minBi, maxBi := minMaxWin(re, im, glo-g-w, ghi-g-w, w)
-		// Extreme differential components, evaluated with the dense
-		// kernel's own operation sequence so rounding monotonicity
-		// applies end to end.
-		dloR := minAr/fw - maxBr/fw
-		dhiR := maxAr/fw - minBr/fw
-		boundR := math.Max(math.Abs(dloR), math.Abs(dhiR))
-		dloI := minAi/fw - maxBi/fw
-		dhiI := maxAi/fw - minBi/fw
-		boundI := math.Max(math.Abs(dloI), math.Abs(dhiI))
-		bs := math.Sqrt(boundR*boundR + boundI*boundI)
-		if bs+bs*1e-12 < threshold {
-			for i := b0; i < b1; i++ {
-				dst[i] = 0
-			}
-			continue
-		}
-		DiffSweep(re, im, j0+b0, gap, win, dst[b0:b1])
-	}
-}
-
-// minMaxWin returns the min and max of the lag-w differences
-// re[q+w]−re[q] and im[q+w]−im[q] over q in [qlo, qhi) — the windowed
-// sums the dense kernel divides by win. The caller guarantees a
-// non-empty in-range interval.
-func minMaxWin(re, im []float64, qlo, qhi, w int) (minR, maxR, minI, maxI float64) {
-	n := qhi - qlo
-	hiR := re[qlo+w:][:n]
-	loR := re[qlo:][:n]
-	hiI := im[qlo+w:][:n]
-	loI := im[qlo:][:n]
-	minR = hiR[0] - loR[0]
-	maxR = minR
-	minI = hiI[0] - loI[0]
-	maxI = minI
-	for i := 1; i < n; i++ {
-		tr := hiR[i] - loR[i]
-		if tr < minR {
-			minR = tr
-		}
-		if tr > maxR {
-			maxR = tr
-		}
-		ti := hiI[i] - loI[i]
-		if ti < minI {
-			minI = ti
-		}
-		if ti > maxI {
-			maxI = ti
-		}
-	}
-	return minR, maxR, minI, maxI
 }

@@ -59,65 +59,28 @@ func TestPrefixSoAMatchesComplex(t *testing.T) {
 	}
 }
 
-// checkSparseContract verifies the DiffSweepSparse output contract
-// against a dense reference: every position is either bitwise equal to
-// dense, or zero-filled with a dense value strictly below threshold AND
-// no position within guard of it at or above threshold.
-func checkSparseContract(t *testing.T, dense, sparse []float64, threshold float64, guard int) {
-	t.Helper()
-	for i := range sparse {
-		if sparse[i] == dense[i] {
-			continue
+// FuzzDiffSweep drives the dense sweep kernel with fuzzer-chosen
+// capture lengths, gaps, windows, and sweep offsets, and asserts that
+// every position it fills is bitwise equal to the complex128 reference
+// |Prefix.Differential| (the Prefix/Mean path the detector was first
+// written against). Samples are finite — the stream replaces
+// non-finite IQ before it reaches the prefix sums.
+func FuzzDiffSweep(f *testing.F) {
+	f.Add(int64(1), uint16(900), uint8(2), uint8(3), uint16(0), 0.05)
+	f.Add(int64(2), uint16(3000), uint8(1), uint8(1), uint16(17), 0.3)
+	f.Add(int64(99), uint16(64), uint8(7), uint8(12), uint16(5), 0.0)
+	f.Fuzz(func(t *testing.T, seed int64, sz uint16, gap8, win8 uint8, off uint16, noise float64) {
+		if !(noise >= 0 && noise < 1e3) {
+			t.Skip()
 		}
-		if sparse[i] != 0 {
-			t.Fatalf("pos %d: sparse %v is neither dense %v nor zero", i, sparse[i], dense[i])
-		}
-		if dense[i] >= threshold {
-			t.Fatalf("pos %d: zero-filled but dense %v >= threshold %v", i, dense[i], threshold)
-		}
-		for j := max(0, i-guard); j < min(len(dense), i+guard+1); j++ {
-			if dense[j] >= threshold {
-				t.Fatalf("pos %d zero-filled but neighbour %d has dense %v >= threshold %v", i, j, dense[j], threshold)
-			}
-		}
-	}
-}
-
-func TestDiffSweepSparseMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	const gap, win = int64(2), int64(3)
-	const guard = gap + 2
-	margin := int(gap + win)
-	for trial := 0; trial < 6; trial++ {
-		n := 500 + rng.Intn(4000)
-		samples := stepCapture(rng, n)
-		soa := NewPrefixSoA(samples)
-		j0 := margin
-		m := n - 2*margin
-		dense := make([]float64, m)
-		DiffSweep(soa.Re, soa.Im, j0, gap, win, dense)
-		// Thresholds spanning "skip almost everything" to "skip nothing".
-		for _, thr := range []float64{0.01, 0.2, 1.0, 5.0} {
-			sparse := make([]float64, m)
-			DiffSweepSparse(soa.Re, soa.Im, j0, gap, win, guard, thr, margin, n-margin, sparse)
-			checkSparseContract(t, dense, sparse, thr, int(guard))
-		}
-		soa.Release()
-	}
-}
-
-// FuzzDiffSweepSparse drives the sparse kernel with fuzzer-chosen
-// signal shape parameters and asserts the skip-bound contract. Inputs
-// are sanitized to finite samples — the stream rejects non-finite IQ
-// before the sweep, and the interval bound is only claimed for finite
-// sums.
-func FuzzDiffSweepSparse(f *testing.F) {
-	f.Add(int64(1), uint16(900), 0.2, 0.05)
-	f.Add(int64(2), uint16(3000), 1.5, 0.3)
-	f.Add(int64(99), uint16(500), 0.001, 0.0)
-	f.Fuzz(func(t *testing.T, seed int64, sz uint16, thr, noise float64) {
-		n := int(sz)%5000 + 64
-		if !(thr >= 0 && thr < 1e6) || !(noise >= 0 && noise < 1e3) {
+		n := int(sz)%5000 + 1
+		gap, win := int64(gap8%16)+1, int64(win8%32)+1
+		margin := int(gap + win)
+		// Interior positions [margin, n−margin); sweep a suffix of them
+		// starting off positions in, so j0 is not always the first one.
+		j0 := margin + int(off)%(n+1)
+		m := n - margin - j0
+		if m <= 0 {
 			t.Skip()
 		}
 		rng := rand.New(rand.NewSource(seed))
@@ -129,20 +92,19 @@ func FuzzDiffSweepSparse(f *testing.F) {
 			}
 			samples[i] = level + complex(rng.NormFloat64()*noise, rng.NormFloat64()*noise)
 		}
-		const gap, win = int64(2), int64(3)
-		const guard = gap + 2
-		margin := int(gap + win)
-		m := n - 2*margin
-		if m <= 0 {
-			t.Skip()
-		}
+		ref := NewPrefix(samples)
+		defer ref.Release()
 		soa := NewPrefixSoA(samples)
 		defer soa.Release()
-		dense := make([]float64, m)
-		DiffSweep(soa.Re, soa.Im, margin, gap, win, dense)
-		sparse := make([]float64, m)
-		DiffSweepSparse(soa.Re, soa.Im, margin, gap, win, guard, thr, margin, n-margin, sparse)
-		checkSparseContract(t, dense, sparse, thr, int(guard))
+		got := make([]float64, m)
+		DiffSweep(soa.Re, soa.Im, j0, gap, win, got)
+		for i, v := range got {
+			pos := int64(j0 + i)
+			d := ref.Differential(pos, gap, win)
+			if want := math.Hypot(real(d), imag(d)); math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("pos %d (n=%d gap=%d win=%d): DiffSweep %v != reference %v", pos, n, gap, win, v, want)
+			}
+		}
 	})
 }
 

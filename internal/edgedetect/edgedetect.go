@@ -47,11 +47,6 @@ type Config struct {
 	// into chunks whose seams read across chunk boundaries, so the
 	// detected edge set is bit-identical at any setting.
 	Parallelism int
-	// DenseSweep forces the dense differential sweep even after
-	// calibration, disabling the coarse-to-fine skip (DESIGN.md §12).
-	// The detected edge set is bit-identical either way; the knob
-	// exists for A/B benchmarking and debugging.
-	DenseSweep bool
 }
 
 // DefaultConfig returns detector settings matched to the default reader

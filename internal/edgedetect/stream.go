@@ -40,24 +40,13 @@ type StreamConfig struct {
 	// Shards, when populated, receives shard-mode stripe counters
 	// (runtime-class). The zero value records nothing.
 	Shards obs.ShardMetrics
-	// StripeRunner, when non-nil in shard mode, executes each stripe
-	// job instead of the in-process kernel: the distributed coordinator
-	// hooks here to ship jobs to remote workers. The runner must fill
-	// job.Dst with exactly the bytes job.Run would produce (or return an
-	// error, which poisons the stripe like an in-process panic). Ignored
-	// when ShardWorkers < 2.
-	StripeRunner func(*StripeJob) error
 	// Calib, when non-nil, presets noise calibration: the stream starts
-	// calibrated with the given floor and threshold, no calibration
-	// median is taken, and the coarse-to-fine sweep runs sparse from
-	// position 0. SIC residual decodes use this to carry the first
+	// calibrated with the given floor and threshold, and no calibration
+	// median is taken. SIC residual decodes use this to carry the first
 	// pass's calibration — the noise floor is a property of the channel
 	// and receiver chain, and subtracting decoded signal from the
 	// capture does not change it (DESIGN.md §17). Both values must be
-	// finite and positive. CalibSamples is ignored when set. The
-	// quantized skip tier stays off (its scale is fixed from the
-	// calibration window this stream never observes); the float64
-	// tiers decide identically.
+	// finite and positive. CalibSamples is ignored when set.
 	Calib *CalibPreset
 	// Seed, when non-nil, adopts a pre-folded capture instead of pushed
 	// blocks: the stream aliases the caller's from-origin prefix-sum
@@ -97,10 +86,9 @@ type SweepSeed struct {
 	SumsRe, SumsIm []float64
 	// Active, when non-nil, restricts detection to the given spans:
 	// sorted, disjoint, half-open sample ranges within [0, n].
-	// Differential magnitudes outside them are recorded as zero and the
-	// local-maximum scan never visits them — exactly the sparse tier's
-	// don't-care contract, except the skip decision is the caller's.
-	// The caller owns the soundness argument that out-of-mask positions
+	// Differential magnitudes outside them are never computed and the
+	// local-maximum scan never visits them: they are don't-cares, and
+	// the caller owns the soundness argument that out-of-mask positions
 	// carry nothing it wants detected (the SIC dirty-span closure:
 	// DESIGN.md §17). nil sweeps the whole capture.
 	Active []shard.Range
@@ -131,8 +119,7 @@ type Stream struct {
 
 	// From-origin prefix sums of the pushed samples, split into
 	// structure-of-arrays real/imaginary components so the differential
-	// sweep kernels (dsp.DiffSweep, dsp.DiffSweepSparse) stream over
-	// plain float64 lanes. sumsRe[j]/sumsIm[j] hold the componentwise
+	// sweep kernel (dsp.DiffSweep) streams over plain float64 lanes. sumsRe[j]/sumsIm[j] hold the componentwise
 	// sum of samples [0, sumBase+j); len == front-sumBase+1. Complex
 	// addition is componentwise, so the split accumulation is bitwise
 	// identical to the former []complex128 prefix.
@@ -142,26 +129,6 @@ type Stream struct {
 	accRe   float64
 	accIm   float64
 	front   int64 // samples pushed so far
-
-	// Int16 fixed-point shadow of the prefix sums: wrapping int32
-	// accumulations of round(qScale · sample), index-aligned with
-	// sumsRe/sumsIm, feeding the sparse sweep's quantized skip tier
-	// (dsp.DiffSweepSparse16) at half the float64 pair's memory
-	// bandwidth. The scale is fixed at calibration from the largest
-	// component seen; a later sample overflowing the int16 range
-	// disables the shadow for the rest of the capture (the float64
-	// tiers keep every decision identical). maxComp tracks the
-	// pre-calibration component maximum the scale derives from.
-	qRe     []int32
-	qIm     []int32
-	qAccRe  int32
-	qAccIm  int32
-	q16     bool
-	qScale  float64
-	qInv    float64
-	qErr    float64
-	qValid  int64 // quantized entries valid for absolute indices ≥ this
-	maxComp float64
 
 	// Differential magnitudes for positions [magBase, magDone).
 	mag     []float64
@@ -178,7 +145,10 @@ type Stream struct {
 	stripeFront  int64
 	stripeBytes  int64
 	sm           obs.ShardMetrics
-	stripeRun    func(*StripeJob) error
+	// runStripe, when non-nil, executes each stripe job in place of
+	// stripeJob.run (still on the pool worker). Tests use it to delay
+	// stripes and prove adoption never depends on completion timing.
+	runStripe func(*stripeJob)
 
 	calibrated bool
 	floor      float64
@@ -271,7 +241,7 @@ func NewStream(cfg StreamConfig) (*Stream, error) {
 		}
 	}
 	s := &Stream{cfg: cfg.Config, calib: cfg.CalibSamples, workers: work.Resolve(cfg.Parallelism),
-		em: cfg.Metrics, meter: cfg.Meter, sm: cfg.Shards, stripeRun: cfg.StripeRunner}
+		em: cfg.Metrics, meter: cfg.Meter, sm: cfg.Shards}
 	if cfg.Seed != nil {
 		s.sumsRe, s.sumsIm = cfg.Seed.SumsRe, cfg.Seed.SumsIm
 		s.active = cfg.Seed.Active
@@ -318,9 +288,6 @@ func (s *Stream) Reset() {
 	s.sumsRe = append(s.sumsRe[:0], 0)
 	s.sumsIm = append(s.sumsIm[:0], 0)
 	s.sumBase, s.accRe, s.accIm, s.front = 0, 0, 0, 0
-	s.disableQuant()
-	s.qAccRe, s.qAccIm = 0, 0
-	s.qScale, s.qInv, s.qErr, s.qValid, s.maxComp = 0, 0, 0, 0, 0
 	s.mag = s.mag[:0]
 	s.magBase, s.magDone = 0, 0
 	if len(s.stripes) > 0 {
@@ -357,20 +324,14 @@ func (s *Stream) Push(block []complex128) error {
 	if s.eof {
 		return errors.New("edgedetect: push after close")
 	}
-	// Extend all prefix arrays once per block, then fill by index: the
+	// Extend both prefix lanes once per block, then fill by index: the
 	// per-sample append bounds-and-growth checks are measurable at epoch
-	// scale with four accumulation lanes.
+	// scale.
 	base := len(s.sumsRe)
 	s.sumsRe = extendFloats(s.sumsRe, len(block))
 	s.sumsIm = extendFloats(s.sumsIm, len(block))
 	re := s.sumsRe[base:]
 	im := s.sumsIm[base:]
-	var qre, qim []int32
-	if s.q16 {
-		s.qRe = extendInt32s(s.qRe, len(block))
-		s.qIm = extendInt32s(s.qIm, len(block))
-		qre, qim = s.qRe[base:], s.qIm[base:]
-	}
 	for i, v := range block {
 		if !sampleOK(v) {
 			s.noteDrop(s.front + int64(i))
@@ -379,35 +340,10 @@ func (s *Stream) Push(block []complex128) error {
 		} else {
 			s.lastFinite = v
 		}
-		preRe, preIm := s.accRe, s.accIm
 		s.accRe += real(v)
 		s.accIm += imag(v)
 		re[i] = s.accRe
 		im[i] = s.accIm
-		if s.q16 {
-			// Quantize the sample as the prefix difference just stored —
-			// the value the dense kernel will consume — so the skip
-			// tier's error bound is front-independent (DESIGN.md §14).
-			qr := math.RoundToEven((s.accRe - preRe) * s.qScale)
-			qi := math.RoundToEven((s.accIm - preIm) * s.qScale)
-			if qr > dsp.QuantClip || qr < -dsp.QuantClip ||
-				qi > dsp.QuantClip || qi < -dsp.QuantClip {
-				s.disableQuant() // frees the arrays qre/qim view
-				qre, qim = nil, nil
-			} else {
-				s.qAccRe += int32(qr)
-				s.qAccIm += int32(qi)
-				qre[i] = s.qAccRe
-				qim[i] = s.qAccIm
-			}
-		} else if !s.calibrated {
-			if a := math.Abs(real(v)); a > s.maxComp {
-				s.maxComp = a
-			}
-			if a := math.Abs(imag(v)); a > s.maxComp {
-				s.maxComp = a
-			}
-		}
 	}
 	s.front += int64(len(block))
 	s.advance()
@@ -441,7 +377,6 @@ func (s *Stream) Close() error {
 	if s.err != nil {
 		return s.err
 	}
-	s.disableQuant() // no sweeps remain; only measurement survives Close
 	if s.mag != nil {
 		pool.PutFloat(s.mag)
 		s.mag = nil
@@ -460,7 +395,6 @@ func (s *Stream) Release() {
 	}
 	s.released = true
 	s.closeShards()
-	s.disableQuant()
 	if !s.extSums {
 		pool.PutFloat(s.sumsRe)
 		pool.PutFloat(s.sumsIm)
@@ -533,8 +467,7 @@ func (s *Stream) SetLowWater(pos int64) {
 // capacity beyond the live window: the backing arrays come from the
 // shared pool and may carry slack amortized across unrelated decodes.
 func (s *Stream) RetainedBytes() int64 {
-	return int64(len(s.sumsRe)+len(s.sumsIm))*8 + int64(len(s.qRe)+len(s.qIm))*4 +
-		int64(len(s.mag))*8 + s.stripeBytes +
+	return int64(len(s.sumsRe)+len(s.sumsIm))*8 + int64(len(s.mag))*8 + s.stripeBytes +
 		int64(len(s.raw)+len(s.kept))*16 + s.nms.RetainedBytes() +
 		int64(len(s.groups)-s.ghead)*32
 }
@@ -642,69 +575,6 @@ func (s *Stream) blankDropped(lo, hi, margin int64) {
 	}
 }
 
-// enableQuant fixes the fixed-point scale from the calibration-window
-// component maximum and backfills the quantized prefix shadow over the
-// retained samples (calibration precedes any trim, so the sums still
-// start at the origin). An out-of-range sample — possible only if the
-// capture's components grow past ~2x the calibration maximum — aborts
-// the backfill and leaves the float64 path in sole charge.
-func (s *Stream) enableQuant() {
-	s.qScale = dsp.QuantTarget / s.maxComp
-	s.qInv = s.maxComp / dsp.QuantTarget
-	// Any admitted quantized sample has |component| ≤ (QuantClip+1)·qInv,
-	// which bounds the ε term of the skip tier's error margin.
-	s.qErr = dsp.QuantErr(s.qInv, (dsp.QuantClip+1)*s.qInv)
-	// Only the tail of the calibrated window is reachable by future
-	// sweeps: an extension starting at position p reads prefix indices
-	// ≥ p − (Gap+Win) − guard, and every future extension starts at
-	// magDone or later. The skip tier consumes only window differences,
-	// so the wrapping accumulation may start at any base — entries below
-	// jStart are left as uninitialized never-read filler, saving the
-	// full-window backfill pass. advance() re-checks the reachability
-	// floor before dispatching the quantized kernel.
-	n := len(s.sumsRe)
-	reach := int(s.cfg.Gap+s.cfg.Win+s.cfg.Gap+2) + 64
-	jStart := int(s.magDone-s.sumBase) - reach
-	if jStart < 0 {
-		jStart = 0
-	}
-	s.qValid = s.sumBase + int64(jStart)
-	s.qRe = pool.Int32sUninit(n)
-	s.qIm = pool.Int32sUninit(n)
-	s.qRe[jStart] = 0
-	s.qIm[jStart] = 0
-	var ar, ai int32
-	for j := jStart + 1; j < n; j++ {
-		qr := math.RoundToEven((s.sumsRe[j] - s.sumsRe[j-1]) * s.qScale)
-		qi := math.RoundToEven((s.sumsIm[j] - s.sumsIm[j-1]) * s.qScale)
-		if qr > dsp.QuantClip || qr < -dsp.QuantClip ||
-			qi > dsp.QuantClip || qi < -dsp.QuantClip {
-			s.disableQuant()
-			return
-		}
-		ar += int32(qr)
-		ai += int32(qi)
-		s.qRe[j] = ar
-		s.qIm[j] = ai
-	}
-	s.qAccRe, s.qAccIm = ar, ai
-	s.q16 = true
-}
-
-// disableQuant retires the quantized prefix shadow; every subsequent
-// sweep runs the pure float64 sparse kernel.
-func (s *Stream) disableQuant() {
-	if s.qRe != nil {
-		pool.PutInt32s(s.qRe)
-		pool.PutInt32s(s.qIm)
-		s.qRe, s.qIm = nil, nil
-	}
-	s.q16 = false
-}
-
-// Quantized reports whether the int16 fixed-point skip tier is active.
-func (s *Stream) Quantized() bool { return s.q16 }
-
 // futureFirstMin lower-bounds the first-peak position of any group not
 // yet coalesced: pending raw maxima (or any maximum yet to be scanned)
 // sit at min(raw[0].Pos, scanned) or later, and centroiding moves a
@@ -728,26 +598,9 @@ func (s *Stream) advance() {
 	// so pre-Close only positions below front−margin are computable;
 	// margins at both capture ends are blanked exactly as in the batch
 	// detector (clamped half-windows would read as phantom edges).
-	//
-	// Once the threshold is fixed, the sweep runs coarse-to-fine
-	// (dsp.DiffSweepSparse): sub-threshold blocks are zero-filled
-	// instead of computed. The zero is a don't-care — every read the
-	// later stages perform on such a position takes the same branch as
-	// it would on the true (sub-threshold) dense value, and every
-	// position within guard = Gap+2 samples of a threshold-crossing
-	// position is computed exactly (DESIGN.md §12). Pre-Close, sparse
-	// extensions additionally hold back the last `guard` computable
-	// positions so each position's guard context is fully inside the
-	// known interior when its skip decision is taken; every downstream
-	// horizon (scan, flushPeaks, futureFirstMin) is monotone in
-	// magDone, so the deferral delays decisions without changing them.
-	guard := g + 2
-	sparse := s.calibrated && !s.cfg.DenseSweep && s.threshold > 0
 	hi := s.front - margin
 	if s.eof {
 		hi = s.total
-	} else if sparse {
-		hi -= guard
 	}
 	if s.shardOn() {
 		// Shard mode: the sweep runs on the stripe pool instead of
@@ -755,7 +608,7 @@ func (s *Stream) advance() {
 		// order (stripe.go). Every downstream stage is monotone in
 		// magDone, so the adoption lag delays decisions without changing
 		// them.
-		s.shardSweep(hi, sparse)
+		s.shardSweep(hi)
 		if s.err != nil {
 			return
 		}
@@ -763,37 +616,10 @@ func (s *Stream) advance() {
 		lo := s.magDone
 		count := int(hi - lo)
 		s.mag = extendFloats(s.mag, count)
-		limit := s.limit()
-		intLo, intHi := margin, limit-margin
-		// The quantized shadow is only consulted when every prefix index
-		// this extension can reach is above its validity floor (it holds
-		// by construction — enableQuant leaves `reach` slack below the
-		// magDone it was built at — but the floor is what the proof
-		// stands on, so check it, not the construction).
-		useQ := s.q16 && max(lo, intLo)-guard-margin >= s.qValid
+		intLo, intHi := margin, s.limit()-margin
 		sweepChunk := func(plo, phi int64) {
-			ilo := max(plo, intLo)
-			ihi := min(phi, intHi)
-			for p := plo; p < min(ilo, phi); p++ {
-				s.mag[p-s.magBase] = 0
-			}
-			if ilo < ihi {
-				j0 := int(ilo - s.sumBase)
-				dst := s.mag[ilo-s.magBase : ihi-s.magBase]
-				switch {
-				case sparse && useQ:
-					dsp.DiffSweepSparse16(s.qRe, s.qIm, s.sumsRe, s.sumsIm, j0, g, w, guard,
-						s.qErr, s.qInv, s.threshold, int(intLo-s.sumBase), int(intHi-s.sumBase), dst)
-				case sparse:
-					dsp.DiffSweepSparse(s.sumsRe, s.sumsIm, j0, g, w, guard,
-						s.threshold, int(intLo-s.sumBase), int(intHi-s.sumBase), dst)
-				default:
-					dsp.DiffSweep(s.sumsRe, s.sumsIm, j0, g, w, dst)
-				}
-			}
-			for p := max(ihi, plo); p < phi; p++ {
-				s.mag[p-s.magBase] = 0
-			}
+			sweepRange(s.mag[plo-s.magBase:phi-s.magBase], s.sumsRe, s.sumsIm, s.sumBase,
+				plo, phi, intLo, intHi, g, w)
 		}
 		if s.active == nil {
 			s.meter.DoRanges(s.workers, count, func(clo, chi int) {
@@ -802,7 +628,7 @@ func (s *Stream) advance() {
 		} else {
 			// Masked sweep: the kernel runs only over the active spans (a
 			// seeded stream sweeps once, at Close, so this branch runs once
-			// with lo = 0). Positions outside the spans are don't-care, and
+			// with lo = 0). Positions outside the spans are don't-cares, and
 			// the only reads that stray past a span boundary are the scan's
 			// neighbour probes (±1) and centroiding (±(Gap+2)) at in-span
 			// peaks — so zeroing a Gap+3 margin around each span makes
@@ -868,15 +694,6 @@ func (s *Stream) advance() {
 			s.threshold = min
 		}
 		s.calibrated = true
-		// Calibration fixes the quantization scale; the shadow only pays
-		// off for sweeps still to come, so a capture that calibrates at
-		// Close (or one forced dense) never builds it. Shard mode skips
-		// it too: the backfill rewrites the shadow arrays under
-		// in-flight stripe readers, and the float64 tiers decide
-		// identically (stripe.go).
-		if !s.eof && !s.cfg.DenseSweep && s.threshold > 0 && s.maxComp > 0 && !s.shardOn() {
-			s.enableQuant()
-		}
 	}
 
 	// 3. Local-maximum scan. Serial by construction (it is a trivial
@@ -911,9 +728,9 @@ func (s *Stream) advance() {
 		if s.active == nil {
 			scanRange(s.scanned, scanHi)
 		} else {
-			// Masked scan: positions outside the active spans hold
-			// don't-care zeros below the (positive, preset) threshold, so
-			// skipping them takes the same branch the full scan would.
+			// Masked scan: positions outside the active spans are
+			// don't-cares (the caller's soundness argument, see
+			// SweepSeed.Active), so they are never visited.
 			for _, r := range s.active {
 				if rlo, rhi := max(r.Lo, s.scanned), min(r.Hi, scanHi); rlo < rhi {
 					scanRange(rlo, rhi)
@@ -1080,11 +897,8 @@ func (s *Stream) trim() {
 	span := g + 2
 
 	keepSum := s.lowWater - g - mw
-	if k := s.magDone - g - s.cfg.Win - span; k < keepSum {
-		// The next differential extension reads from magDone−Gap−Win;
-		// the sparse kernel's skip bound additionally reaches span =
-		// Gap+2 guard positions further back (DESIGN.md §12).
-		keepSum = k
+	if k := s.magDone - g - s.cfg.Win; k < keepSum {
+		keepSum = k // the next differential extension reads from here
 	}
 	if k := s.futureFirstMin() - g - mw; k < keepSum {
 		keepSum = k // a future group's leading window
@@ -1119,9 +933,7 @@ func (s *Stream) dropSums(keep int64) {
 		// instead of rewriting entries under them the retained tail
 		// moves into fresh arrays and the old ones are left, intact,
 		// to their readers (and the GC). No drain needed, which
-		// matters because a stripe is nearly always in flight. (The
-		// quantized shadow never exists in shard mode; see
-		// enableQuant.)
+		// matters because a stripe is nearly always in flight.
 		n := len(s.sumsRe) - int(drop)
 		re := pool.FloatUninit(n)
 		im := pool.FloatUninit(n)
@@ -1135,12 +947,6 @@ func (s *Stream) dropSums(keep int64) {
 	copy(s.sumsIm, s.sumsIm[drop:])
 	s.sumsRe = s.sumsRe[:n]
 	s.sumsIm = s.sumsIm[:n]
-	if s.q16 {
-		copy(s.qRe, s.qRe[drop:])
-		copy(s.qIm, s.qIm[drop:])
-		s.qRe = s.qRe[:n]
-		s.qIm = s.qIm[:n]
-	}
 	s.sumBase = keep
 }
 
@@ -1160,15 +966,6 @@ func (s *Stream) dropMag(keep int64) {
 // extendFloats grows b by n entries without zeroing them (every caller
 // overwrites the extension) and without a temporary allocation.
 func extendFloats(b []float64, n int) []float64 {
-	need := len(b) + n
-	for cap(b) < need {
-		b = append(b[:cap(b)], 0)
-	}
-	return b[:need]
-}
-
-// extendInt32s is extendFloats for the quantized prefix lanes.
-func extendInt32s(b []int32, n int) []int32 {
 	need := len(b) + n
 	for cap(b) < need {
 		b = append(b[:cap(b)], 0)

@@ -98,69 +98,6 @@ func TestStreamMatchesBatchDetector(t *testing.T) {
 	det.Release()
 }
 
-// TestStreamQuantizedTierEdgeIdentity pins the int16 skip tier's edge
-// decisions against the pure float64 path: identical edge lists and
-// noise floors whether the quantized prefix shadow is active or
-// force-disabled, across block sizes that land the disable/enable
-// transitions at different sweep boundaries.
-func TestStreamQuantizedTierEdgeIdentity(t *testing.T) {
-	h := complex(8e-4, -3e-4)
-	var toggles []tag.Toggle
-	state := byte(1)
-	for _, us := range []float64{40, 41.2, 80, 200, 201, 202, 600, 900, 905, 1500} {
-		toggles = append(toggles, tag.Toggle{Time: us * 1e-6, State: state})
-		state = 1 - state
-	}
-	cap := capture(t, h, 2.5e-9, toggles, 1700e-6)
-
-	for _, block := range []int{37, 4096, len(cap.Samples)} {
-		cfg := StreamConfig{Config: DefaultConfig(), CalibSamples: 8192}
-		quant, err := NewStream(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wasQuant := false
-		for lo := 0; lo < len(cap.Samples); lo += block {
-			hi := min(lo+block, len(cap.Samples))
-			if err := quant.Push(cap.Samples[lo:hi]); err != nil {
-				t.Fatal(err)
-			}
-			wasQuant = wasQuant || quant.Quantized()
-		}
-		if err := quant.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// Reference stream with the shadow force-disabled after every
-		// push, so each sweep extension runs the pure float64 kernels.
-		plain, err := NewStream(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for lo := 0; lo < len(cap.Samples); lo += block {
-			hi := min(lo+block, len(cap.Samples))
-			if err := plain.Push(cap.Samples[lo:hi]); err != nil {
-				t.Fatal(err)
-			}
-			plain.disableQuant()
-		}
-		if err := plain.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if !wasQuant {
-			t.Fatalf("block=%d: quantized tier never activated on a clean capture", block)
-		}
-		if !reflect.DeepEqual(quant.Edges(), plain.Edges()) {
-			t.Fatalf("block=%d: quantized tier diverged:\nquant: %+v\nplain: %+v",
-				block, quant.Edges(), plain.Edges())
-		}
-		if quant.NoiseFloor() != plain.NoiseFloor() {
-			t.Fatalf("block=%d: noise floor %v != %v", block, quant.NoiseFloor(), plain.NoiseFloor())
-		}
-		quant.Release()
-		plain.Release()
-	}
-}
-
 // TestStreamLowWaterTrimsWindow checks the memory contract directly at
 // the detector level: with bounded calibration and an advancing
 // low-water mark, the live window stays flat while the pushed total

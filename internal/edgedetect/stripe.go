@@ -5,43 +5,33 @@ package edgedetect
 // stripes — contiguous owned ranges of magnitude positions — that a
 // pull-based worker pool (internal/shard) computes concurrently while
 // the owner goroutine keeps pushing samples and running the serial
-// stages. The stripes are the in-process shards of the ISSUE's
-// seam-safe sharded decode: stage 1 is where the decode spends most of
+// stages. The stripes are the shards of the seam-safe sharded decode
+// (DESIGN.md §15): stage 1 is where the decode spends most of
 // its time, it is the only per-sample stage, and every downstream
 // stage (calibration, scan, NMS/coalesce, refinement, walking) is
 // provably monotone in the sweep horizon magDone, so delaying a
 // position's availability never changes any decision about it.
 //
 // Seam safety. A stripe owns positions [lo, hi) but its kernel reads
-// prefix sums over [lo − SweepReach, hi + SweepMargin]: the overlap
-// with its neighbours is exactly the shard.SweepReach cut distance
+// prefix sums over [lo − SweepMargin, hi + SweepMargin]: the overlap
+// with its neighbours is exactly the shard.SweepMargin cut distance
 // derived from the detector geometry, and a stripe is only dispatched
 // once every prefix index it can read has been pushed (hi ≤
-// front − margin, minus the sparse guard holdback pre-Close — the same
-// horizons the serial sweep uses). Workers therefore read only settled
-// entries of the append-only prefix arrays: Push writes indices the
-// snapshot's length never covered, compaction (dropSums) copies the
-// retained tail out into fresh arrays rather than rewriting the shared
-// ones in place, and growth reallocation leaves the snapshotted
-// backing array intact.
+// front − margin pre-Close — the horizon the serial sweep uses).
+// Workers therefore read only settled entries of the append-only prefix
+// arrays: Push writes indices the snapshot's length never covered,
+// compaction (dropSums) copies the retained tail out into fresh arrays
+// rather than rewriting the shared ones in place, and growth
+// reallocation leaves the snapshotted backing array intact.
 //
 // Determinism. Each stripe computes into a job-owned buffer with the
-// same kernels, the same from-origin prefix sums, and the same
-// interior bounds the serial sweep would use, so every owned position's
-// value is bit-identical to the serial sweep's — except don't-care
-// zeros from the sparse skip tier, whose placement may differ with
-// stripe boundaries exactly as it already differs with worker count
-// and block size (DESIGN.md §12's skip-soundness argument: every read
-// downstream stages perform takes the same branch either way). The
-// owner adopts completed stripes strictly in submission order (the
-// overlap-dedup rule: only the owned range enters s.mag), so the
-// merged magnitude series, and hence the decode, is byte-identical to
-// ShardParallelism = 1 at any shard count.
-//
-// The int16 quantized skip tier is not built in shard mode: its shadow
-// arrays are rewritten by enableQuant's backfill under in-flight
-// readers, and skipping it is output-invariant by the same §12
-// argument (the float64 tiers make every decision identically).
+// same kernel, the same from-origin prefix sums, and the same interior
+// bounds the serial sweep would use, so every owned position's value is
+// bit-identical to the serial sweep's. The owner adopts completed
+// stripes strictly in submission order (the overlap-dedup rule: only
+// the owned range enters s.mag), so the merged magnitude series, and
+// hence the decode, is byte-identical to ShardParallelism = 1 at any
+// shard count.
 
 import (
 	"fmt"
@@ -86,38 +76,24 @@ type stripe struct {
 	t      *shard.Ticket
 }
 
-// StripeJob is one self-contained unit of the sharded differential
-// sweep: everything a worker needs to compute the owned magnitude
-// range [Lo, Hi) into Dst, snapshotted at dispatch time. Run executes
-// it with the in-process kernels; StreamConfig.StripeRunner may
-// instead ship it elsewhere (internal/dist serializes exactly these
-// fields), as long as Dst comes back bit-identical to what Run would
-// write — the prefix sums are from-origin absolute values, so any
-// subslice covering [IntLo−SweepMargin, IntHi+SweepMargin] ∩ the
-// kernel's read window reproduces the same differences bit-exactly.
-type StripeJob struct {
-	// Lo, Hi bound the owned magnitude positions; Dst has Hi−Lo
-	// entries, Dst[i] holding position Lo+i.
-	Lo, Hi int64
-	// IntLo, IntHi bound the sweep interior at dispatch time; owned
-	// positions outside it are blanked to zero (capture-edge margins).
-	IntLo, IntHi int64
-	// Re, Im are the split prefix sums the kernel reads; Base is the
-	// absolute sample position of Re[0]/Im[0].
-	Re, Im []float64
-	Base   int64
-	// Detector geometry and sparse-tier controls.
-	Gap, Win, Guard int64
-	Sparse          bool
-	Threshold       float64
-	// Dst is the job-owned output buffer.
-	Dst []float64
+// stripeJob is everything a pool worker reads to compute one stripe,
+// snapshotted at dispatch time: the owned magnitude range [lo, hi), the
+// sweep interior [intLo, intHi) at dispatch (owned positions outside it
+// are blanked to zero — the capture-edge margins), slice headers of the
+// split prefix sums with base the absolute sample position of
+// re[0]/im[0], the detector geometry, and the job-owned output buffer
+// dst (dst[i] holds position lo+i).
+type stripeJob struct {
+	lo, hi       int64
+	intLo, intHi int64
+	re, im       []float64
+	base         int64
+	gap, win     int64
+	dst          []float64
 }
 
-// Run computes the stripe in-process.
-func (j *StripeJob) Run() {
-	sweepStripe(j.Dst, j.Re, j.Im, j.Base, j.Lo, j.Hi, j.IntLo, j.IntHi,
-		j.Gap, j.Win, j.Guard, j.Sparse, j.Threshold)
+func (j *stripeJob) run() {
+	sweepRange(j.dst, j.re, j.im, j.base, j.lo, j.hi, j.intLo, j.intHi, j.gap, j.win)
 }
 
 // shardOn reports whether the sharded sweep is active.
@@ -140,15 +116,15 @@ func (s *Stream) shardOn() bool { return s.shards != nil }
 // pool (guaranteed on a single-CPU box, where workers only run when
 // the owner yields). Waiting hands the CPU to exactly the workers
 // whose results are owed, so it costs nothing when the pool keeps up.
-func (s *Stream) shardSweep(hi int64, sparse bool) {
+func (s *Stream) shardSweep(hi int64) {
 	if !s.eof {
-		for s.err == nil && s.dispatchStripes(hi, sparse) {
+		for s.err == nil && s.dispatchStripes(hi) {
 			s.adoptHead()
 		}
 		return
 	}
 	for s.err == nil && s.magDone < hi {
-		s.dispatchStripes(hi, sparse)
+		s.dispatchStripes(hi)
 		if len(s.stripes) == 0 {
 			break
 		}
@@ -163,9 +139,9 @@ func (s *Stream) shardSweep(hi int64, sparse bool) {
 // the in-flight bound, and reports whether a dispatchable stripe is
 // left waiting for a slot. Each stripe snapshots everything its kernel
 // reads — slice headers of the append-only prefix arrays plus the
-// interior bounds and threshold at dispatch time — so the job is
-// self-contained and the owner's state can keep moving.
-func (s *Stream) dispatchStripes(hi int64, sparse bool) bool {
+// interior bounds at dispatch time — so the job is self-contained and
+// the owner's state can keep moving.
+func (s *Stream) dispatchStripes(hi int64) bool {
 	bound := maxStripesInFlight * s.shards.Workers()
 	for {
 		r, ok := shard.Next(s.stripeFront, hi, stripeSamples, minStripeSamples, s.eof)
@@ -175,39 +151,31 @@ func (s *Stream) dispatchStripes(hi int64, sparse bool) bool {
 		if len(s.stripes) >= bound {
 			return true
 		}
-		s.enqueueStripe(r, sparse)
+		s.enqueueStripe(r)
 	}
 }
 
-func (s *Stream) enqueueStripe(r shard.Range, sparse bool) {
+func (s *Stream) enqueueStripe(r shard.Range) {
 	st := &stripe{lo: r.Lo, hi: r.Hi, mag: pool.FloatUninit(int(r.Len()))}
 	// Snapshot the kernel inputs. The interior bounds derive from the
 	// limit at dispatch time exactly as the serial sweep's do from the
 	// limit at compute time; a pre-Close stripe satisfies hi ≤
-	// limit − margin (− guard when sparse), so its trailing-blank
-	// branch never fires early — only the Close-time stripes blank the
-	// capture's tail margin, as in the serial sweep.
+	// limit − margin, so its trailing-blank branch never fires early —
+	// only the Close-time stripes blank the capture's tail margin, as in
+	// the serial sweep.
 	g, w := s.cfg.Gap, s.cfg.Win
 	margin := shard.SweepMargin(g, w)
-	job := &StripeJob{
-		Lo: r.Lo, Hi: r.Hi,
-		IntLo: margin, IntHi: s.limit() - margin,
-		Re: s.sumsRe, Im: s.sumsIm, Base: s.sumBase,
-		Gap: g, Win: w, Guard: shard.SweepGuard(g),
-		Sparse: sparse, Threshold: s.threshold,
-		Dst: st.mag,
+	job := &stripeJob{
+		lo: r.Lo, hi: r.Hi,
+		intLo: margin, intHi: s.limit() - margin,
+		re: s.sumsRe, im: s.sumsIm, base: s.sumBase,
+		gap: g, win: w,
+		dst: st.mag,
 	}
-	if run := s.stripeRun; run != nil {
-		// A runner error poisons this stripe exactly like an in-process
-		// panic: the pool captures it into the ticket (error-valued
-		// panics are %w-wrapped, so typed errors survive to adoption).
-		st.t = s.shards.Go(func() {
-			if err := run(job); err != nil {
-				panic(err)
-			}
-		})
+	if run := s.runStripe; run != nil {
+		st.t = s.shards.Go(func() { run(job) })
 	} else {
-		st.t = s.shards.Go(job.Run)
+		st.t = s.shards.Go(job.run)
 	}
 	s.stripes = append(s.stripes, st)
 	s.stripeFront = r.Hi
@@ -217,25 +185,21 @@ func (s *Stream) enqueueStripe(r shard.Range, sparse bool) {
 	s.sm.InFlight.Max(int64(len(s.stripes)))
 }
 
-// sweepStripe computes the differential magnitudes a stripe owns into
-// its job-owned buffer — the serial sweep's chunk body over snapshot
-// inputs. It runs on a pool worker; everything it touches is either
-// the job-owned dst or settled read-only prefix entries.
-func sweepStripe(dst, re, im []float64, base, lo, hi, intLo, intHi, g, w, guard int64, sparse bool, threshold float64) {
+// sweepRange computes the differential magnitudes of positions
+// [lo, hi) into dst (dst[i] holds position lo+i): dsp.DiffSweep over
+// the interior [intLo, intHi), zeros on the capture-edge margins
+// outside it. re/im are from-origin prefix sums whose index 0 is
+// absolute sample position base. It is the one sweep body, shared by
+// the inline chunks and the pool's stripes; it touches only dst and
+// read-only prefix entries.
+func sweepRange(dst, re, im []float64, base, lo, hi, intLo, intHi, g, w int64) {
 	ilo := max(lo, intLo)
 	ihi := min(hi, intHi)
 	for p := lo; p < min(ilo, hi); p++ {
 		dst[p-lo] = 0
 	}
 	if ilo < ihi {
-		j0 := int(ilo - base)
-		out := dst[ilo-lo : ihi-lo]
-		if sparse {
-			dsp.DiffSweepSparse(re, im, j0, g, w, guard,
-				threshold, int(intLo-base), int(intHi-base), out)
-		} else {
-			dsp.DiffSweep(re, im, j0, g, w, out)
-		}
+		dsp.DiffSweep(re, im, int(ilo-base), g, w, dst[ilo-lo:ihi-lo])
 	}
 	for p := max(ihi, lo); p < hi; p++ {
 		dst[p-lo] = 0

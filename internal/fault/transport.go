@@ -1,16 +1,17 @@
 package fault
 
-// Transport-level impairment: seeded fault injection for the
-// distributed shard protocol (internal/dist). Where the capture-level
+// Transport-level impairment: seeded fault injection for the reader
+// gateway's ingest protocol (internal/gate). Where the capture-level
 // injectors corrupt IQ samples before the decoder sees them, the
-// transport injectors corrupt the *wire* between coordinator and
-// workers — dropped connections, stalls, short writes, flipped bytes —
-// so the dist layer's retry/re-queue/hedge machinery can be driven
-// through a deterministic failure matrix. The decoded bits must come
-// out identical at any severity: transport faults are recoverable by
-// construction (the CRC-guarded framing detects corruption, leases
-// detect stalls, and every failure path re-queues the shard), so the
-// acceptance test is bit-identity, not degraded output.
+// transport injectors corrupt the *wire* between reader and gateway —
+// dropped connections, stalls, short writes, flipped bytes — so the
+// gateway's reconnect/resume machinery can be driven through a
+// deterministic failure matrix. The decoded bits must come out
+// identical at any severity: transport faults are recoverable by
+// construction (the CRC-guarded framing detects corruption, ack
+// timeouts detect stalls, and every failure path reconnects and
+// resumes at the acknowledged offset), so the acceptance test is
+// bit-identity, not degraded output.
 //
 // Determinism is positional, like the sample injectors: every decision
 // is a pure function of (Seed, connection ID, operation index, kind),
@@ -80,8 +81,8 @@ func (c TransportConfig) active() bool {
 }
 
 // Wrap impairs a connection. connID must be unique per connection (the
-// dist coordinator uses its accept counter; the worker its attempt
-// counter) — it salts the positional hash so parallel connections fail
+// gateway numbers its accepted connections; the reader client uses its
+// attempt counter) — it salts the positional hash so parallel connections fail
 // independently. A config with no active transport injectors returns
 // conn unchanged.
 func (c TransportConfig) Wrap(conn net.Conn, connID uint64) net.Conn {

@@ -46,7 +46,7 @@ type ClientConfig struct {
 	// backpressure throttling is misread as death. Default 30s.
 	AckTimeout time.Duration
 	// BackoffMin/BackoffMax bound the exponential reconnect backoff
-	// (full jitter, as in internal/dist). Defaults 10ms / 1s.
+	// (full jitter). Defaults 10ms / 1s.
 	BackoffMin, BackoffMax time.Duration
 	// MaxAttempts bounds consecutive failed connection attempts before
 	// the client gives up (a completed exchange resets the count).

@@ -219,10 +219,9 @@ func TestGateKillMidStreamFlushes(t *testing.T) {
 	}
 }
 
-// TestGateConnectDisconnectStorm mirrors internal/dist's lifecycle
-// pattern: a pile of readers under connection-killing transport faults
-// all complete byte-identically, and the gateway winds down without
-// leaking goroutines.
+// TestGateConnectDisconnectStorm: a pile of readers under
+// connection-killing transport faults all complete byte-identically,
+// and the gateway winds down without leaking goroutines.
 func TestGateConnectDisconnectStorm(t *testing.T) {
 	before := runtime.NumGoroutine()
 

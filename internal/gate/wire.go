@@ -6,8 +6,7 @@
 // (RetainedBytes is the admission signal), and publishes decoded
 // frames to pluggable sinks as they commit.
 //
-// The robustness model mirrors internal/dist: every transport failure
-// is recoverable. The ingest protocol is resumable — a session is
+// The robustness model: every transport failure is recoverable. The ingest protocol is resumable — a session is
 // keyed by (reader name, capture nonce), the gateway acks cumulative
 // sample offsets, and a reconnecting reader learns the gateway's
 // high-water mark from the welcome frame and resends only the tail —
@@ -28,8 +27,7 @@ import (
 //
 //	magic(2) | type(1) | payloadLen(4, LE) | payload | crc32(4, LE)
 //
-// — under the 'L','G' magic so a gateway frame can never be mistaken
-// for a dist frame. Samples travel as IEEE-754 bit patterns
+// — under the 'L','G' magic. Samples travel as IEEE-754 bit patterns
 // (re, im float64 pairs), so pushed blocks are bit-exact across hosts
 // and gateway decodes can be byte-compared against local ones.
 const (
@@ -51,7 +49,7 @@ const (
 	maxFramePayload = 17 << 20
 )
 
-// proto is this protocol's framing instance (dist's sibling).
+// proto is this protocol's framing instance.
 var proto = wire.Proto{Name: "gate", Magic0: gateMagic0, Magic1: gateMagic1, MaxPayload: maxFramePayload}
 
 // Message types.

@@ -1,11 +1,11 @@
 package obs
 
 // GateMetrics instruments the reader gateway (internal/gate).
-// ClassRuntime throughout, in the gateway's own Registry — like
-// dist.*, these observe transport and scheduling (connection counts,
-// throttle time, wire bytes) and never influence a decoded bit, so
-// each reader session's decode-class stats identity matches a local
-// decode of the same capture.
+// ClassRuntime throughout, in the gateway's own Registry: these observe
+// transport and scheduling (connection counts, throttle time, wire
+// bytes) and never influence a decoded bit, so each reader session's
+// decode-class stats identity matches a local decode of the same
+// capture.
 type GateMetrics struct {
 	// Readers counts reader sessions admitted (one per distinct
 	// (reader, capture nonce) pair, however many reconnects serve it).

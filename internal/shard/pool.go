@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"context"
 	"fmt"
 	"sync"
 )
@@ -23,7 +22,7 @@ type Pool struct {
 	// under the write lock before closing the channel, and Go holds
 	// the read lock across the send, so a send can never hit a closed
 	// channel — a late Go observes closed and returns a pre-failed
-	// ticket instead (a coordinator cancelling mid-merge hits this).
+	// ticket instead.
 	mu     sync.RWMutex
 	closed bool
 }
@@ -114,39 +113,9 @@ type Ticket struct {
 	err error
 }
 
-// Ready reports whether the job has finished, without blocking.
-func (t *Ticket) Ready() bool {
-	select {
-	case <-t.ch:
-		return true
-	default:
-		return false
-	}
-}
-
 // Wait blocks until the job has finished.
 func (t *Ticket) Wait() { <-t.ch }
 
-// WaitCtx blocks until the job has finished or ctx is done, returning
-// ctx.Err() in the latter case. On a nil return the ticket is ready
-// and Err is valid. The job itself keeps running either way — a
-// cancelled wait abandons the result, it does not revoke the work —
-// which is exactly what a lease deadline or coordinator shutdown
-// needs: stop waiting on a stuck ticket without corrupting the pool.
-func (t *Ticket) WaitCtx(ctx context.Context) error {
-	select {
-	case <-t.ch:
-		return nil
-	default:
-	}
-	select {
-	case <-t.ch:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// Err returns the job's captured panic, if any. Valid only after
-// Ready has returned true or Wait has returned.
+// Err returns the job's captured panic, if any. Valid only after Wait
+// has returned.
 func (t *Ticket) Err() error { return t.err }

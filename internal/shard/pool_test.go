@@ -1,23 +1,17 @@
 package shard
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"testing"
-	"time"
 )
 
-// TestPoolGoAfterClose is the regression test for the coordinator
-// cancel-mid-merge path: Go after Close must return a pre-failed
+// TestPoolGoAfterClose: Go after Close must return a pre-failed
 // ticket, not panic with a raw send on a closed channel.
 func TestPoolGoAfterClose(t *testing.T) {
 	p := NewPool(2, 4)
 	p.Close()
 	t1 := p.Go(func() { t.Error("job submitted after Close must not run") })
-	if !t1.Ready() {
-		t.Fatal("post-Close ticket not immediately ready")
-	}
 	t1.Wait() // must not block
 	if !errors.Is(t1.Err(), ErrPoolClosed) {
 		t.Fatalf("post-Close ticket err = %v, want ErrPoolClosed", t1.Err())
@@ -60,7 +54,7 @@ func TestPoolGoCloseRace(t *testing.T) {
 
 // TestPoolPanicPreservesTypedError: an error-valued panic must survive
 // the ticket as a wrapped error so errors.As still finds the type —
-// the dist coordinator's quarantine path depends on this.
+// a poisoned stripe's error reaches the decoder's caller this way.
 func TestPoolPanicPreservesTypedError(t *testing.T) {
 	type poisonErr struct{ error }
 	p := NewPool(1, 1)
@@ -74,74 +68,5 @@ func TestPoolPanicPreservesTypedError(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("got %v, want %v", got, want)
-	}
-}
-
-// TestTicketWaitCtx covers the three WaitCtx outcomes: completed
-// ticket, cancelled wait on a stuck ticket, and the fast path when the
-// ticket is already ready under an expired context.
-func TestTicketWaitCtx(t *testing.T) {
-	p := NewPool(1, 1)
-	defer p.Close()
-
-	tk := p.Go(func() {})
-	if err := tk.WaitCtx(context.Background()); err != nil {
-		t.Fatalf("WaitCtx on completed job: %v", err)
-	}
-
-	release := make(chan struct{})
-	stuck := p.Go(func() { <-release })
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	if err := stuck.WaitCtx(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("WaitCtx on stuck job = %v, want deadline exceeded", err)
-	}
-	close(release)
-	stuck.Wait()
-
-	// Fast path: ready ticket wins even against a done context.
-	done, cancel2 := context.WithCancel(context.Background())
-	cancel2()
-	if err := tk.WaitCtx(done); err != nil {
-		t.Fatalf("WaitCtx fast path on ready ticket: %v", err)
-	}
-}
-
-// TestTicketWaitCtxCancelWhileQueued races cancellation against a job
-// still waiting in the queue behind a blocker (run under -race): the
-// waiter must return promptly with the context error while the job
-// later runs to completion unharmed.
-func TestTicketWaitCtxCancelWhileQueued(t *testing.T) {
-	p := NewPool(1, 1)
-	defer p.Close()
-	release := make(chan struct{})
-	blocker := p.Go(func() { <-release })
-
-	ran := make(chan struct{})
-	queued := p.Go(func() { close(ran) })
-
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() { errc <- queued.WaitCtx(ctx) }()
-	cancel()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("WaitCtx = %v, want context.Canceled", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("WaitCtx did not observe cancellation")
-	}
-
-	close(release)
-	blocker.Wait()
-	select {
-	case <-ran:
-	case <-time.After(2 * time.Second):
-		t.Fatal("queued job never ran after abandoned wait")
-	}
-	queued.Wait()
-	if err := queued.Err(); err != nil {
-		t.Fatalf("queued job err = %v", err)
 	}
 }

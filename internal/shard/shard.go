@@ -9,9 +9,9 @@
 // distances. Every decode stage reads a bounded sample neighbourhood:
 //
 //   - The differential sweep at position p reads prefix sums over
-//     p ± (Gap+Win), and the sparse skip tier additionally consults a
-//     Gap+2 guard context around each threshold decision (DESIGN.md
-//     §12). SweepReach bounds both.
+//     p ± (Gap+Win), and the stages that consume its magnitudes read a
+//     Gap+2 context around each one (the local-maximum scan's
+//     neighbours and the centroid window). SweepReach bounds both.
 //   - Stream registration reads no edge past
 //     streams.RegistrationHorizon, and the frame walk past a stream's
 //     registration reads no edge beyond streams.WalkHorizon.
@@ -45,16 +45,18 @@ func (r Range) Len() int64 { return r.Hi - r.Lo }
 // [p-gap-win, p+gap+win], so prefix sums must cover that span.
 func SweepMargin(gap, win int64) int64 { return gap + win }
 
-// SweepGuard is the context the sparse sweep's skip tier consults
-// around each threshold decision (DESIGN.md §12): a position within
-// gap+2 samples of a threshold crossing is always computed exactly.
+// SweepGuard is the magnitude context the detector reads around a
+// peak candidate: the local-maximum scan probes its ±1 neighbours and
+// centroiding weighs every magnitude within gap+2 of it, so a decision
+// at position p depends on magnitudes over p ± (gap+2).
 func SweepGuard(gap int64) int64 { return gap + 2 }
 
-// SweepReach is the farthest sample distance a shard's sweep kernel
-// can read outside its owned range: the differential window margin
-// plus the skip tier's guard context. Adjacent sweep shards must
-// overlap by at least this much for each to compute its owned
-// positions exactly as the serial sweep would.
+// SweepReach is the farthest sample distance at which a sample can
+// influence a detection decision at a position: the differential
+// window margin plus the scan and centroid context (SweepGuard). The
+// SIC dirty-span closure widens every changed span by it, so a
+// residual pass re-detects every position whose decisions the
+// change can reach.
 func SweepReach(gap, win int64) int64 { return SweepMargin(gap, win) + SweepGuard(gap) }
 
 // Next plans the next shard to dispatch: positions below covered are

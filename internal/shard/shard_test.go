@@ -99,18 +99,17 @@ func TestPoolStragglerDoesNotStall(t *testing.T) {
 	p := NewPool(2, 4)
 	defer p.Close()
 	release := make(chan struct{})
-	head := p.Go(func() { <-release })
+	var headDone atomic.Bool
+	head := p.Go(func() { <-release; headDone.Store(true) })
 	tail := p.Go(func() {})
-	deadline := time.After(5 * time.Second)
-	for !tail.Ready() {
-		select {
-		case <-deadline:
-			t.Fatal("tail job stalled behind straggler head")
-		default:
-			time.Sleep(time.Millisecond)
-		}
+	tailDone := make(chan struct{})
+	go func() { tail.Wait(); close(tailDone) }()
+	select {
+	case <-tailDone:
+	case <-time.After(5 * time.Second):
+		t.Fatal("tail job stalled behind straggler head")
 	}
-	if head.Ready() {
+	if headDone.Load() {
 		t.Fatal("head finished before release")
 	}
 	close(release)

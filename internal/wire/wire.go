@@ -1,23 +1,22 @@
-// Package wire is the length-prefixed, CRC-guarded framing shared by
-// the repo's TCP protocols: the distributed shard protocol
-// (internal/dist) and the reader-gateway ingest protocol
-// (internal/gate). Both speak the same frame shape —
+// Package wire is the length-prefixed, CRC-guarded framing of the
+// reader-gateway ingest protocol (internal/gate). Every frame has the
+// shape
 //
 //	magic(2) | type(1) | payloadLen(4, LE) | payload | crc32(4, LE)
 //
-// — differing only in their magic bytes, payload cap, and message
-// codecs. The CRC (IEEE) covers type, length, and payload, so a
-// flipped bit anywhere in the frame — header or body — is detected
-// before any field is trusted. Payload integers are little-endian;
-// float64s travel as IEEE-754 bit patterns (math.Float64bits), so
-// shipped samples, prefix sums, and magnitudes are bit-exact across
-// hosts.
+// and a Proto pins the magic bytes and payload cap; the message codecs
+// live with the protocol. The CRC (IEEE) covers type, length, and
+// payload, so a flipped bit anywhere in the frame — header or body — is
+// detected before any field is trusted. Payload integers are
+// little-endian; float64s travel as IEEE-754 bit patterns
+// (math.Float64bits), so shipped samples are bit-exact across hosts.
 //
 // Framing violations (bad magic, CRC mismatch, oversized payload,
 // trailing bytes) surface as *wire.Error so protocol layers can treat
 // them like a dead connection — recoverable by reconnect/retry, never
 // fatal — while transport failures (io.EOF, timeouts) pass through
-// verbatim.
+// verbatim; a frame cut short after its first byte reads as
+// io.ErrUnexpectedEOF.
 package wire
 
 import (
@@ -33,7 +32,7 @@ import (
 // corrupt length field from allocating gigabytes, and the name used in
 // error messages.
 type Proto struct {
-	// Name prefixes framing errors ("dist", "gate").
+	// Name prefixes framing errors (e.g. "gate").
 	Name string
 	// Magic0, Magic1 open every frame.
 	Magic0, Magic1 byte
@@ -92,6 +91,9 @@ func (p Proto) ReadFrame(r io.Reader) (byte, []byte, error) {
 	}
 	body := make([]byte, int(n)+trailerLen)
 	if _, err := io.ReadFull(r, body); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF // the header promised a body
+		}
 		return 0, nil, err
 	}
 	crc := crc32.ChecksumIEEE(hdr[2:])

@@ -36,7 +36,6 @@ import (
 
 	"lf/internal/channel"
 	"lf/internal/decoder"
-	"lf/internal/edgedetect"
 	"lf/internal/iq"
 	"lf/internal/obs"
 	"lf/internal/reader"
@@ -337,15 +336,6 @@ type DecoderConfig struct {
 	// shard count, and batch Decode honours it too. 0 or 1 disables
 	// sharding.
 	ShardParallelism int
-	// StripeRunner, when non-nil and ShardParallelism ≥ 2, executes
-	// each sweep stripe of the sharded decode instead of the
-	// in-process kernel. This is the distribution seam: internal/dist
-	// installs its coordinator here to ship stripes to remote workers
-	// over TCP while the merge stays in-process and deterministic. The
-	// runner must fill job.Dst with exactly the bytes job.Run would
-	// produce, or return an error (which poisons that one stripe, not
-	// the decode). Most callers leave it nil.
-	StripeRunner func(*StripeJob) error
 	// StartWindowSeconds overrides how late after carrier-on a frame
 	// may begin (streams.Config.MaxStart). The default covers only the
 	// comparator jitter window — right for epochs where every tag fires
@@ -366,16 +356,11 @@ type DecoderConfig struct {
 	// (sliding trellis window with truncation). 0 selects the default
 	// window; see the viterbi package for the exactness contract.
 	ViterbiWindow int
-	// ForceDenseSweep disables the edge detector's coarse-to-fine
-	// differential sweep, forcing the dense kernel at every position.
-	// Decodes are bit-identical either way (DESIGN.md §12); the knob
-	// exists for A/B benchmarking and debugging.
-	ForceDenseSweep bool
 	// ForceFullResidual disables incremental SIC, forcing every
 	// cancellation round to rebuild the residual capture and re-decode
 	// it from scratch. Decodes are bit-identical either way (DESIGN.md
 	// §17); the knob exists for A/B benchmarking and equivalence tests
-	// (sic_equivalence_test.go), mirroring ForceDenseSweep.
+	// (sic_equivalence_test.go).
 	ForceFullResidual bool
 	// CancellationRounds overrides successive interference cancellation:
 	// 0 keeps the default (3 rounds), negative disables. SIC needs the
@@ -456,11 +441,6 @@ type StreamResult = decoder.StreamResult
 // the failure is anchored at. Inspect with errors.As.
 type DecodeError = decoder.DecodeError
 
-// StripeJob is one self-contained sweep stripe of the sharded decode,
-// handed to DecoderConfig.StripeRunner when distribution is hooked in
-// (see internal/dist). Run computes it in-process.
-type StripeJob = edgedetect.StripeJob
-
 // DecodeStage names the pipeline stage a DecodeError originated in.
 type DecodeStage = decoder.Stage
 
@@ -510,10 +490,8 @@ func NewDecoder(cfg DecoderConfig) (*Decoder, error) {
 	}
 	dc.Parallelism = cfg.Parallelism
 	dc.ShardParallelism = cfg.ShardParallelism
-	dc.StripeRunner = cfg.StripeRunner
 	dc.CalibSamples = cfg.CalibSamples
 	dc.ViterbiWindow = cfg.ViterbiWindow
-	dc.ForceDenseSweep = cfg.ForceDenseSweep
 	dc.ForceFullResidual = cfg.ForceFullResidual
 	dc.OnFrame = cfg.OnFrame
 	dc.Tracer = cfg.Tracer

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"lf"
+	"lf/internal/fault"
 )
 
 // streamDecode runs the streaming pipeline over an epoch's capture,
@@ -73,6 +74,43 @@ func TestStreamingMatchesBatchDeferredCalibration(t *testing.T) {
 	streamed := streamDecode(t, ep, cfg, 8192)
 	if !reflect.DeepEqual(batch, streamed) {
 		t.Fatal("deferred-calibration streaming decode diverged from batch")
+	}
+}
+
+// TestStreamingMatchesBatchFaults extends the streaming contract to
+// degraded input: for fault-injected captures across every
+// capture-level impairment kind, streaming decodes at block sizes 1,
+// 4096, and whole-capture must be byte-identical to batch Decode.
+// CalibSamples is set so calibration ends mid-capture and the
+// incremental sweep, trim, and drop-span blanking all engage.
+func TestStreamingMatchesBatchFaults(t *testing.T) {
+	blocks := func(n int) []int {
+		if testing.Short() {
+			return []int{4096}
+		}
+		return []int{1, 4096, n + 999}
+	}
+	for _, seed := range []int64{5, 11} {
+		ep, cfg := buildEpoch(t, 4, seed)
+		cfg.CalibSamples = 32768
+		for _, kind := range fault.CaptureKinds() {
+			t.Run(fmt.Sprintf("seed=%d/%s", seed, kind), func(t *testing.T) {
+				fc := fault.Config{Seed: seed + 100, Injectors: []fault.Injector{
+					{Kind: kind, Severity: 0.5},
+				}}
+				impaired, err := fc.ApplyCapture(ep.Capture)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ep2 := &lf.Epoch{Capture: impaired, Emissions: ep.Emissions, Config: ep.Config}
+				batch := decodeWith(t, ep2, cfg, 0)
+				for _, block := range blocks(len(impaired.Samples)) {
+					if streamed := streamDecode(t, ep2, cfg, block); !reflect.DeepEqual(batch, streamed) {
+						t.Fatalf("block=%d: streaming decode diverged from batch", block)
+					}
+				}
+			})
+		}
 	}
 }
 
