@@ -53,7 +53,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzStreamPush -fuzztime $(FUZZTIME) ./internal/decoder
 	$(GO) test -run '^$$' -fuzz FuzzGateFrame -fuzztime $(FUZZTIME) ./internal/gate
 	$(GO) test -run '^$$' -fuzz FuzzPrefixRepair -fuzztime $(FUZZTIME) ./internal/dsp
-	$(GO) test -run '^$$' -fuzz FuzzDiffSweep -fuzztime $(FUZZTIME) ./internal/dsp
+	$(GO) test -run '^$$' -fuzz '^FuzzDiffSweep$$' -fuzztime $(FUZZTIME) ./internal/dsp
+	$(GO) test -run '^$$' -fuzz FuzzDiffSweepGated -fuzztime $(FUZZTIME) ./internal/dsp
 
 # Short-budget fuzz pass for CI: enough executions to catch decode-path
 # panics on adversarial input without stalling the gate.
@@ -61,12 +62,15 @@ fuzz-smoke:
 	$(MAKE) fuzz FUZZTIME=5s
 
 # Kernel-equivalence smoke: fuzz the SoA sweep kernel bit-for-bit
-# against the complex128 reference (DESIGN.md §12), plus the direct
-# unit equivalence suites for the SoA prefix sums, quickselect median,
-# and windowed NMS.
+# against the complex128 reference and the gated kernel's soundness
+# against the exact one (DESIGN.md §12), plus the direct unit
+# equivalence suites for the SoA sweep, quickselect median, and
+# chain-pass NMS, and the stream-level gated-vs-exact identity.
 kernel-smoke:
 	$(GO) test -run 'TestPrefixSoA|TestMedianFloat|TestSuppress' ./internal/dsp
-	$(GO) test -run '^$$' -fuzz FuzzDiffSweep -fuzztime 5s ./internal/dsp
+	$(GO) test -run 'TestGatedSweep' ./internal/edgedetect
+	$(GO) test -run '^$$' -fuzz '^FuzzDiffSweep$$' -fuzztime 5s ./internal/dsp
+	$(GO) test -run '^$$' -fuzz FuzzDiffSweepGated -fuzztime 5s ./internal/dsp
 
 # Observability smoke: the golden-trace corpus (batch + streaming,
 # byte-for-byte against testdata/golden/) and the metrics conservation

@@ -10,7 +10,6 @@ import (
 	"slices"
 
 	"lf/internal/pool"
-	"lf/internal/work"
 )
 
 // Prefix holds cumulative sums of a complex series so that the mean of
@@ -84,33 +83,6 @@ func (p *Prefix) Differential(pos, gap, win int64) complex128 {
 	return after - before
 }
 
-// DifferentialSeries computes |Differential| at every sample position.
-// The result has the same length as the underlying series; positions
-// too close to the ends use clamped (shorter) windows.
-func (p *Prefix) DifferentialSeries(gap, win int64) []float64 {
-	out := make([]float64, p.n)
-	p.DifferentialSeriesInto(out, gap, win, 1)
-	return out
-}
-
-// DifferentialSeriesInto fills dst (which must have length p.Len())
-// with |Differential| at every sample position, fanning the work out
-// over at most `workers` goroutines (see work.Resolve for the knob
-// semantics). Each position is a pure O(1) function of the prefix
-// sums, so the chunked result is bit-identical to the serial one at
-// any worker count.
-func (p *Prefix) DifferentialSeriesInto(dst []float64, gap, win int64, workers int) {
-	if int64(len(dst)) != p.n {
-		panic("dsp: DifferentialSeriesInto length mismatch")
-	}
-	work.DoRanges(workers, int(p.n), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			d := p.Differential(int64(i), gap, win)
-			dst[i] = math.Hypot(real(d), imag(d))
-		}
-	})
-}
-
 // MedianFloat returns the median of xs. It copies into pooled scratch
 // and quickselects — O(n) instead of a full sort, yielding the exact
 // same order statistics (NaNs ordering first, as in sort.Float64s).
@@ -144,210 +116,140 @@ type Peak struct {
 	Value float64
 }
 
-// FindPeaks returns local maxima of mag that exceed threshold, with
-// non-maximum suppression: within any window of minSpacing samples only
-// the largest peak survives. Peaks are returned in increasing position.
-func FindPeaks(mag []float64, threshold float64, minSpacing int64) []Peak {
-	return FindPeaksParallel(mag, threshold, minSpacing, 1)
-}
-
-// FindPeaksParallel is FindPeaks with the local-maximum scan chunked
-// across at most `workers` goroutines. Each chunk reads its boundary
-// neighbours from the shared series, so a peak sitting exactly on a
-// chunk seam is classified exactly as in the serial scan — detected
-// once, by the chunk that owns its index. The final non-maximum
-// suppression runs globally over the (position-ordered) concatenation,
-// making the result bit-identical at any worker count.
-func FindPeaksParallel(mag []float64, threshold float64, minSpacing int64, workers int) []Peak {
-	if minSpacing < 1 {
-		minSpacing = 1
-	}
-	n := len(mag)
-	bounds := work.Bounds(workers, n)
-	if len(bounds) < 2 {
-		return nil
-	}
-	chunked := make([][]Peak, len(bounds)-1)
-	work.Do(work.Resolve(workers), len(bounds)-1, func(c int) {
-		chunked[c] = scanPeaks(mag, bounds[c], bounds[c+1], threshold)
-	})
-	var peaks []Peak
-	for _, ps := range chunked {
-		peaks = append(peaks, ps...)
-	}
-	return Suppress(peaks, minSpacing)
-}
-
-// scanPeaks finds the raw local maxima of mag with index in [lo, hi).
-// Neighbour comparisons read across the chunk boundary, so ownership
-// of a boundary peak is unambiguous: the chunk containing its index.
-func scanPeaks(mag []float64, lo, hi int, threshold float64) []Peak {
-	var peaks []Peak
-	n := len(mag)
-	for i := lo; i < hi; i++ {
-		v := mag[i]
-		if v < threshold {
-			continue
-		}
-		// Local maximum test against immediate neighbours. Plateaus
-		// keep their first sample (the subsequent suppression pass
-		// removes duplicates anyway).
-		if i > 0 && mag[i-1] > v {
-			continue
-		}
-		if i+1 < n && mag[i+1] > v {
-			continue
-		}
-		if i > 0 && mag[i-1] == v {
-			continue // plateau continuation
-		}
-		peaks = append(peaks, Peak{Pos: int64(i), Value: v})
-	}
-	return peaks
-}
-
 // Suppress applies greedy non-maximum suppression: peaks are visited in
 // (value descending, position ascending) order — a total order, so the
 // result is deterministic even under exact value ties — and any peak
 // within minSpacing of an already accepted peak is dropped. The result
-// is re-sorted by position; the input is not modified. Greedy
-// acceptance only ever interacts within minSpacing, so running Suppress
-// on position-separated chunks whose boundary gaps are ≥ minSpacing
-// equals one global pass — the property the incremental edge detector's
-// chunked flushing builds on.
-//
-// The conflict test uses a grid of minSpacing-wide cells: accepted
-// peaks are pairwise ≥ minSpacing apart, so a cell holds at most one,
-// and a candidate can only conflict with the occupants of its own and
-// the two adjacent cells. That makes the pass O(n log n) in the peak
-// count where the previous kept-list scan was O(n²) — quadratic
-// exactly when it hurt, under spurious-edge fault floods.
+// is sorted by position; the input is not modified. Greedy acceptance
+// only ever interacts within minSpacing, so running Suppress on
+// position-separated chunks whose boundary gaps are ≥ minSpacing equals
+// one global pass — the property the incremental edge detector's
+// chunked flushing builds on, and the one Suppressor applies inside
+// every call.
 func Suppress(peaks []Peak, minSpacing int64) []Peak {
-	if len(peaks) <= 1 {
-		return peaks
-	}
-	byValue := make([]Peak, len(peaks))
-	copy(byValue, peaks)
-	if minSpacing < 1 {
-		// No two distinct positions can conflict; just order by position.
-		sortPeaksByPos(byValue)
-		return byValue
-	}
-	sortPeaksByValue(byValue)
-	kept := suppressSorted(byValue[:0], byValue, nil, minSpacing)
-	sortPeaksByPos(kept)
-	return kept
-}
-
-func sortPeaksByValue(peaks []Peak) {
-	slices.SortFunc(peaks, func(a, b Peak) int {
-		if a.Value != b.Value {
-			if a.Value > b.Value {
-				return -1
-			}
-			return 1
-		}
-		switch {
-		case a.Pos < b.Pos:
-			return -1
-		case a.Pos > b.Pos:
-			return 1
-		}
-		return 0
-	})
-}
-
-func sortPeaksByPos(peaks []Peak) {
-	slices.SortFunc(peaks, func(a, b Peak) int {
-		switch {
-		case a.Pos < b.Pos:
-			return -1
-		case a.Pos > b.Pos:
-			return 1
-		}
-		// Value-descending tiebreak makes the order total: duplicate
-		// positions (possible only when minSpacing < 1) sort
-		// deterministically.
-		switch {
-		case a.Value > b.Value:
-			return -1
-		case a.Value < b.Value:
-			return 1
-		}
-		return 0
-	})
-}
-
-// suppressSorted greedily accepts peaks from byValue (already in value
-// desc, position asc order) into dst, skipping any within minSpacing of
-// an accepted peak. cells may carry a reusable cell→position map (it is
-// cleared first); nil allocates one. dst may alias byValue's backing
-// array offset zero — acceptance only ever rewrites already-consumed
-// entries.
-func suppressSorted(dst, byValue []Peak, cells map[int64]int64, minSpacing int64) []Peak {
-	if cells == nil {
-		cells = make(map[int64]int64, len(byValue))
-	} else {
-		clear(cells)
-	}
-	for _, p := range byValue {
-		c := p.Pos / minSpacing
-		if p.Pos < 0 && p.Pos%minSpacing != 0 {
-			c-- // floored division: cells stay minSpacing wide below zero
-		}
-		ok := true
-		for _, cc := range [3]int64{c - 1, c, c + 1} {
-			if kp, hit := cells[cc]; hit {
-				d := p.Pos - kp
-				if d < 0 {
-					d = -d
-				}
-				if d < minSpacing {
-					ok = false
-					break
-				}
-			}
-		}
-		if ok {
-			cells[c] = p.Pos
-			dst = append(dst, p)
-		}
-	}
-	return dst
+	var sp Suppressor
+	return sp.Suppress(nil, peaks, minSpacing)
 }
 
 // Suppressor is Suppress with caller-owned scratch, for allocation-free
 // steady-state reuse (the streaming detector suppresses one chunk per
 // flush). The zero value is ready to use.
 type Suppressor struct {
-	byValue []Peak
-	cells   map[int64]int64
+	byPos []Peak // position-sorted copy of an unsorted chunk
+	order []int32
+	slots []int32
 }
 
-// Suppress runs the cell-grid NMS over chunk, reusing dst (re-sliced to
+// Suppress runs the chain pass over chunk, reusing dst (re-sliced to
 // zero length) for the result, which is returned sorted by position.
 // Semantics are identical to the package-level Suppress; chunk is not
 // modified.
+//
+// The chain pass: the position-sorted peaks split into chains at every
+// gap ≥ minSpacing (no two peaks in different chains can conflict), and
+// the greedy pass runs inside each chain on its own. Within a chain,
+// consecutive peaks are < minSpacing apart, so the chain spans no more
+// minSpacing-wide slots than it has peaks; accepted peaks are pairwise
+// ≥ minSpacing apart, so a slot holds at most one, and a candidate can
+// only conflict with the occupants of its own and the two adjacent
+// slots. The pass is O(n log n) in the peak count — the per-chain
+// value sort — with no global value sort, no map and no final re-sort.
 func (sp *Suppressor) Suppress(dst, chunk []Peak, minSpacing int64) []Peak {
-	sp.byValue = append(sp.byValue[:0], chunk...)
+	dst = dst[:0]
+	ps := chunk
+	if !slices.IsSortedFunc(ps, comparePos) {
+		ps = append(sp.byPos[:0], chunk...)
+		slices.SortFunc(ps, comparePos)
+		sp.byPos = ps
+	}
 	if minSpacing < 1 {
-		dst = append(dst[:0], sp.byValue...)
-		sortPeaksByPos(dst)
-		return dst
+		// No two distinct positions can conflict.
+		return append(dst, ps...)
 	}
-	sortPeaksByValue(sp.byValue)
-	if sp.cells == nil {
-		sp.cells = make(map[int64]int64, 64)
+	for lo := 0; lo < len(ps); {
+		hi := lo + 1
+		for hi < len(ps) && ps[hi].Pos-ps[hi-1].Pos < minSpacing {
+			hi++
+		}
+		if hi-lo == 1 {
+			dst = append(dst, ps[lo])
+		} else {
+			dst = sp.chain(dst, ps[lo:hi], minSpacing)
+		}
+		lo = hi
 	}
-	dst = suppressSorted(dst[:0], sp.byValue, sp.cells, minSpacing)
-	sortPeaksByPos(dst)
 	return dst
+}
+
+// chain runs the greedy pass over one position-sorted chain and appends
+// the accepted peaks to dst in position order.
+func (sp *Suppressor) chain(dst, c []Peak, minSpacing int64) []Peak {
+	order := sp.order[:0]
+	for i := range c {
+		order = append(order, int32(i))
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if va, vb := c[a].Value, c[b].Value; va != vb {
+			if va > vb {
+				return -1
+			}
+			return 1
+		}
+		return int(a - b) // position ascending: c is position-sorted
+	})
+	sp.order = order
+	base := c[0].Pos
+	nslots := int((c[len(c)-1].Pos-base)/minSpacing) + 1
+	slots := slices.Grow(sp.slots[:0], nslots)[:nslots]
+	for i := range slots {
+		slots[i] = -1
+	}
+	sp.slots = slots
+	for _, i := range order {
+		p := c[i].Pos
+		s := int((p - base) / minSpacing)
+		ok := true
+		for t := max(s-1, 0); t <= min(s+1, nslots-1); t++ {
+			if k := slots[t]; k >= 0 {
+				if d := p - c[k].Pos; d < minSpacing && d > -minSpacing {
+					ok = false
+					break
+				}
+			}
+		}
+		if ok {
+			slots[s] = i
+		}
+	}
+	for _, k := range slots {
+		if k >= 0 {
+			dst = append(dst, c[k])
+		}
+	}
+	return dst
+}
+
+// comparePos orders peaks by position, breaking ties by value
+// descending so duplicate positions (possible in caller-built inputs)
+// sort deterministically.
+func comparePos(a, b Peak) int {
+	switch {
+	case a.Pos < b.Pos:
+		return -1
+	case a.Pos > b.Pos:
+		return 1
+	case a.Value > b.Value:
+		return -1
+	case a.Value < b.Value:
+		return 1
+	}
+	return 0
 }
 
 // RetainedBytes reports the live scratch held by the suppressor, for
 // callers that account their window state (the streaming detector).
 func (sp *Suppressor) RetainedBytes() int64 {
-	return int64(len(sp.byValue)) * 16
+	return int64(len(sp.byPos))*16 + int64(len(sp.order)+len(sp.slots))*4
 }
 
 // EyeHistogram folds a set of edge positions modulo period into bins

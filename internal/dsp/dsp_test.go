@@ -71,7 +71,7 @@ func TestDifferentialSeriesPeaksAtStep(t *testing.T) {
 		samples[i] = 1
 	}
 	p := NewPrefix(samples)
-	mag := p.DifferentialSeries(2, 4)
+	mag := diffSeries(p, 2, 4)
 	best := 0
 	for i, v := range mag {
 		if v > mag[best] {
@@ -81,6 +81,40 @@ func TestDifferentialSeriesPeaksAtStep(t *testing.T) {
 	if best < 28 || best > 32 {
 		t.Fatalf("peak at %d, want ~30", best)
 	}
+}
+
+// diffSeries is the complex128 reference differential series:
+// |Differential| at every position, with clamped (shorter) windows
+// near the ends — the batch sweep the SoA kernels are pinned against.
+func diffSeries(p *Prefix, gap, win int64) []float64 {
+	out := make([]float64, p.Len())
+	for i := range out {
+		d := p.Differential(int64(i), gap, win)
+		out[i] = math.Hypot(real(d), imag(d))
+	}
+	return out
+}
+
+// findPeaks is the reference batch peak finder: local maxima of mag at
+// or above threshold (plateaus keep their first sample), then Suppress.
+// The streaming detector's scan applies the same rules position by
+// position; the gated-kernel tests use it to show a gated series yields
+// the exact series' peaks.
+func findPeaks(mag []float64, threshold float64, minSpacing int64) []Peak {
+	var peaks []Peak
+	for i, v := range mag {
+		if v < threshold {
+			continue
+		}
+		if i > 0 && mag[i-1] >= v {
+			continue // a larger left neighbour, or a plateau continuation
+		}
+		if i+1 < len(mag) && mag[i+1] > v {
+			continue
+		}
+		peaks = append(peaks, Peak{Pos: int64(i), Value: v})
+	}
+	return Suppress(peaks, max(minSpacing, 1))
 }
 
 func TestMedianFloat(t *testing.T) {
@@ -103,7 +137,7 @@ func TestMedianFloat(t *testing.T) {
 
 func TestFindPeaksThreshold(t *testing.T) {
 	mag := []float64{0, 0, 5, 0, 0, 3, 0, 0}
-	peaks := FindPeaks(mag, 4, 1)
+	peaks := findPeaks(mag, 4, 1)
 	if len(peaks) != 1 || peaks[0].Pos != 2 {
 		t.Fatalf("peaks = %+v", peaks)
 	}
@@ -111,7 +145,7 @@ func TestFindPeaksThreshold(t *testing.T) {
 
 func TestFindPeaksNMS(t *testing.T) {
 	mag := []float64{0, 5, 0, 4, 0, 0, 0, 6, 0}
-	peaks := FindPeaks(mag, 1, 4)
+	peaks := findPeaks(mag, 1, 4)
 	// 5 at pos 1 and 4 at pos 3 are within 4 samples: keep the larger.
 	if len(peaks) != 2 {
 		t.Fatalf("peaks = %+v, want 2 after suppression", peaks)
@@ -124,7 +158,7 @@ func TestFindPeaksNMS(t *testing.T) {
 func TestFindPeaksSortedByPosition(t *testing.T) {
 	mag := make([]float64, 100)
 	mag[10], mag[40], mag[80] = 3, 9, 5
-	peaks := FindPeaks(mag, 1, 5)
+	peaks := findPeaks(mag, 1, 5)
 	for i := 1; i < len(peaks); i++ {
 		if peaks[i].Pos <= peaks[i-1].Pos {
 			t.Fatalf("peaks not sorted: %+v", peaks)
@@ -134,7 +168,7 @@ func TestFindPeaksSortedByPosition(t *testing.T) {
 
 func TestFindPeaksPlateau(t *testing.T) {
 	mag := []float64{0, 2, 2, 2, 0}
-	peaks := FindPeaks(mag, 1, 1)
+	peaks := findPeaks(mag, 1, 1)
 	if len(peaks) != 1 {
 		t.Fatalf("plateau produced %d peaks", len(peaks))
 	}

@@ -11,107 +11,11 @@
 // zero imaginary divisor reduces to exactly those two divisions — and
 // every kernel below performs the same operations in the same order as
 // the reference Prefix/meanRange code. TestPrefixSoAMatchesComplex and
-// FuzzDiffSweep pin the equivalence.
+// FuzzDiffSweep pin the equivalence; FuzzDiffSweepGated pins the gated
+// kernel's soundness (DESIGN.md §12).
 package dsp
 
-import (
-	"math"
-
-	"lf/internal/pool"
-	"lf/internal/work"
-)
-
-// PrefixSoA is Prefix with the cumulative sums split into separate
-// real/imaginary float64 arrays. Index i stores the componentwise sum
-// of samples [0, i).
-type PrefixSoA struct {
-	Re, Im []float64
-	n      int64
-}
-
-// NewPrefixSoA builds SoA prefix sums over samples. Buffers come from
-// the shared scratch pool; Release recycles them.
-func NewPrefixSoA(samples []complex128) *PrefixSoA {
-	p := &PrefixSoA{
-		Re: pool.Float(len(samples) + 1),
-		Im: pool.Float(len(samples) + 1),
-		n:  int64(len(samples)),
-	}
-	var ar, ai float64
-	for i, v := range samples {
-		ar += real(v)
-		ai += imag(v)
-		p.Re[i+1] = ar
-		p.Im[i+1] = ai
-	}
-	return p
-}
-
-// Release returns the buffers to the scratch pool. The PrefixSoA must
-// not be used afterwards.
-func (p *PrefixSoA) Release() {
-	pool.PutFloat(p.Re)
-	pool.PutFloat(p.Im)
-	p.Re, p.Im, p.n = nil, nil, 0
-}
-
-// Len returns the number of underlying samples.
-func (p *PrefixSoA) Len() int64 { return p.n }
-
-// Mean returns the mean of samples in [lo, hi), clamped; 0 if empty.
-// Bitwise equal to Prefix.Mean.
-func (p *PrefixSoA) Mean(lo, hi int64) complex128 {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > p.n {
-		hi = p.n
-	}
-	if lo >= hi {
-		return 0
-	}
-	fn := float64(hi - lo)
-	return complex((p.Re[hi]-p.Re[lo])/fn, (p.Im[hi]-p.Im[lo])/fn)
-}
-
-// Differential is Prefix.Differential over the SoA sums.
-func (p *PrefixSoA) Differential(pos, gap, win int64) complex128 {
-	after := p.Mean(pos+gap, pos+gap+win)
-	before := p.Mean(pos-gap-win, pos-gap)
-	return after - before
-}
-
-// DifferentialSeriesInto fills dst with |Differential| at every
-// position, bitwise equal to Prefix.DifferentialSeriesInto: clamped
-// windows near the series ends, the branch-free DiffSweep kernel over
-// the interior.
-func (p *PrefixSoA) DifferentialSeriesInto(dst []float64, gap, win int64, workers int) {
-	if int64(len(dst)) != p.n {
-		panic("dsp: DifferentialSeriesInto length mismatch")
-	}
-	margin := gap + win
-	work.DoRanges(workers, int(p.n), func(clo, chi int) {
-		lo, hi := int64(clo), int64(chi)
-		ilo := max(lo, margin)
-		ihi := min(hi, p.n-margin)
-		if ilo >= ihi {
-			for q := lo; q < hi; q++ {
-				d := p.Differential(q, gap, win)
-				dst[q] = math.Hypot(real(d), imag(d))
-			}
-			return
-		}
-		for q := lo; q < ilo; q++ {
-			d := p.Differential(q, gap, win)
-			dst[q] = math.Hypot(real(d), imag(d))
-		}
-		DiffSweep(p.Re, p.Im, int(ilo), gap, win, dst[ilo:ihi])
-		for q := ihi; q < hi; q++ {
-			d := p.Differential(q, gap, win)
-			dst[q] = math.Hypot(real(d), imag(d))
-		}
-	})
-}
+import "math"
 
 // DiffSweep fills dst[i] with the differential magnitude at prefix
 // index j0+i: |mean(samples [j+gap, j+gap+win)) − mean([j−gap−win,
@@ -141,5 +45,85 @@ func DiffSweep(re, im []float64, j0 int, gap, win int64, dst []float64) {
 		dr := (aHiR[i]-aLoR[i])/fw - (bHiR[i]-bLoR[i])/fw
 		di := (aHiI[i]-aLoI[i])/fw - (bHiI[i]-bLoI[i])/fw
 		dst[i] = math.Hypot(dr, di)
+	}
+}
+
+// Below is the DiffSweepGated sentinel for a position whose magnitude
+// was not computed because it provably lies below the threshold.
+// Negative, so it compares below every threshold and every noise floor.
+const Below = -1.0
+
+// Gate bounds (DESIGN.md §12). gateSlack is the relative slack on
+// win·thr; gateCancel scales win·thr into the window-sum magnitude past
+// which cancellation could defeat the slack, so the kernel computes the
+// exact value instead. Outside [gateMinT, gateMaxT] the squared gate
+// could underflow or overflow, and the kernel runs DiffSweep unchanged.
+const (
+	gateSlack  = 0x1p-20
+	gateCancel = 0x1p30
+	gateMinT   = 0x1p-400
+	gateMaxT   = 0x1p400
+)
+
+// DiffSweepGated is DiffSweep for a fixed detection threshold thr. It
+// first applies a divide-free, sqrt-free test to the raw window-sum
+// differences (ur, ui) at each position, and computes the exact
+// DiffSweep value only on positions within ±reach of a position that
+// passes; every other position gets Below. The test is conservative —
+// any position whose exact magnitude is ≥ thr passes — so every
+// position holds either its exact DiffSweep value or Below, and Below
+// only where the exact value is < thr. Same interior contract as
+// DiffSweep.
+func DiffSweepGated(re, im []float64, j0 int, gap, win int64, thr float64, reach int, dst []float64) {
+	t := float64(win) * thr
+	if !(t >= gateMinT && t <= gateMaxT) {
+		DiffSweep(re, im, j0, gap, win, dst)
+		return
+	}
+	gt := t * (1 - gateSlack)
+	gate := gt * gt
+	lim := t * gateCancel
+	g, w := int(gap), int(win)
+	fw := float64(win)
+	n := len(dst)
+	if n == 0 {
+		return
+	}
+	aHiR := re[j0+g+w:][:n]
+	aLoR := re[j0+g:][:n]
+	bHiR := re[j0-g:][:n]
+	bLoR := re[j0-g-w:][:n]
+	aHiI := im[j0+g+w:][:n]
+	aLoI := im[j0+g:][:n]
+	bHiI := im[j0-g:][:n]
+	bLoI := im[j0-g-w:][:n]
+	done := 0 // dst[:done] is final
+	for i := 0; i < n; i++ {
+		ar, br := aHiR[i]-aLoR[i], bHiR[i]-bLoR[i]
+		ai, bi := aHiI[i]-aLoI[i], bHiI[i]-bLoI[i]
+		ur, ui := ar-br, ai-bi
+		if ur*ur+ui*ui < gate {
+			if math.Abs(ar)+math.Abs(br)+math.Abs(ai)+math.Abs(bi) < lim {
+				continue
+			}
+		}
+		lo := max(done, i-reach)
+		fillBelow(dst[done:lo])
+		hi := min(n, i+reach+1)
+		// DiffSweep's expression, inline: a call per run re-slices all
+		// eight views, which doubles the kernel's cost on dense edges.
+		for k := lo; k < hi; k++ {
+			dr := (aHiR[k]-aLoR[k])/fw - (bHiR[k]-bLoR[k])/fw
+			di := (aHiI[k]-aLoI[k])/fw - (bHiI[k]-bLoI[k])/fw
+			dst[k] = math.Hypot(dr, di)
+		}
+		done = hi
+	}
+	fillBelow(dst[done:])
+}
+
+func fillBelow(dst []float64) {
+	for k := range dst {
+		dst[k] = Below
 	}
 }

@@ -149,6 +149,13 @@ type Stream struct {
 	// stripeJob.run (still on the pool worker). Tests use it to delay
 	// stripes and prove adoption never depends on completion timing.
 	runStripe func(*stripeJob)
+	// exactSweep, when set, keeps every sweep on the exact kernel after
+	// calibration too; onFallback, when non-nil, is called with each
+	// position centroid recomputes because the gated sweep left a
+	// sentinel there. Tests use them to pin gated-vs-exact identity and
+	// to prove the seam fallback runs.
+	exactSweep bool
+	onFallback func(pos int64)
 
 	calibrated bool
 	floor      float64
@@ -587,6 +594,18 @@ func (s *Stream) futureFirstMin() int64 {
 	return m - (s.cfg.Gap + 2)
 }
 
+// sweepGate is the threshold the sweep kernel may gate on, or 0 for
+// the exact kernel. Gating starts once the threshold is fixed: every
+// position swept before calibration — the only ones calibration reads
+// — is exact, and past it a position left at dsp.Below provably sits
+// below the threshold (DESIGN.md §12).
+func (s *Stream) sweepGate() float64 {
+	if s.calibrated && !s.exactSweep {
+		return s.threshold
+	}
+	return 0
+}
+
 // advance runs every detection stage as far as the pushed samples
 // permit: magnitude extension, calibration, local-maximum scan, safe
 // NMS/coalesce cuts, and group refinement.
@@ -617,9 +636,10 @@ func (s *Stream) advance() {
 		count := int(hi - lo)
 		s.mag = extendFloats(s.mag, count)
 		intLo, intHi := margin, s.limit()-margin
+		gate := s.sweepGate()
 		sweepChunk := func(plo, phi int64) {
 			sweepRange(s.mag[plo-s.magBase:phi-s.magBase], s.sumsRe, s.sumsIm, s.sumBase,
-				plo, phi, intLo, intHi, g, w)
+				plo, phi, intLo, intHi, g, w, gate)
 		}
 		if s.active == nil {
 			s.meter.DoRanges(s.workers, count, func(clo, chi int) {
@@ -707,19 +727,23 @@ func (s *Stream) advance() {
 	if scanHi > s.scanned {
 		limit := s.limit()
 		rawBefore := len(s.raw)
+		// The scan reads the window through locals: the loop body then
+		// carries one load and one compare for the (vast majority of)
+		// positions below the threshold.
+		mag, base, thr := s.mag, s.magBase, s.threshold
 		scanRange := func(slo, shi int64) {
 			for i := slo; i < shi; i++ {
-				v := s.magAt(i)
-				if v < s.threshold {
+				v := mag[i-base]
+				if v < thr {
 					continue
 				}
-				if i > 0 && s.magAt(i-1) > v {
+				if i > 0 && mag[i-1-base] > v {
 					continue
 				}
-				if i+1 < limit && s.magAt(i+1) > v {
+				if i+1 < limit && mag[i+1-base] > v {
 					continue
 				}
-				if i > 0 && s.magAt(i-1) == v {
+				if i > 0 && mag[i-1-base] == v {
 					continue // plateau continuation
 				}
 				s.raw = append(s.raw, dsp.Peak{Pos: i, Value: v})
@@ -798,11 +822,11 @@ func (s *Stream) flushPeaks() {
 
 // suppressChunk is greedy non-maximum suppression over one flushed
 // chunk, reusing stream-owned scratch so the steady state allocates
-// nothing. It delegates to the shared dsp cell-grid pass: peaks are
-// visited in (value desc, position asc) order — a total order, so the
-// result is deterministic even under exact value ties — and returned
-// sorted by position, like dsp.Suppress, in O(n log n) where the
-// former kept-list scan was O(n²) under spurious-edge floods.
+// nothing. It delegates to the shared dsp chain pass: the
+// position-sorted raw peaks split into chains at gaps ≥ MinSpacing,
+// and inside each chain peaks are visited in (value desc, position
+// asc) order — a total order, so the result is deterministic even
+// under exact value ties — and returned sorted by position.
 func (s *Stream) suppressChunk(chunk []dsp.Peak) []dsp.Peak {
 	s.kept = s.nms.Suppress(s.kept, chunk, s.cfg.MinSpacing)
 	return s.kept
@@ -822,7 +846,19 @@ func (s *Stream) centroid(peaks []dsp.Peak) {
 			if i < 0 || i >= limit {
 				continue
 			}
-			w := s.magAt(i) - s.floor
+			v := s.magAt(i)
+			if v < 0 {
+				// dsp.Below: the gated sweep computes exact values within
+				// ±(Gap+2) of every position reaching the threshold, but
+				// only inside one kernel call, so a kept peak within that
+				// reach of a chunk or stripe seam can find a sentinel on
+				// the far side. Recompute the exact value there.
+				v = dsp.Abs(s.MeasureAt(i))
+				if s.onFallback != nil {
+					s.onFallback(i)
+				}
+			}
+			w := v - s.floor
 			if w <= 0 {
 				continue
 			}

@@ -26,12 +26,15 @@ package edgedetect
 //
 // Determinism. Each stripe computes into a job-owned buffer with the
 // same kernel, the same from-origin prefix sums, and the same interior
-// bounds the serial sweep would use, so every owned position's value is
-// bit-identical to the serial sweep's. The owner adopts completed
-// stripes strictly in submission order (the overlap-dedup rule: only
-// the owned range enters s.mag), so the merged magnitude series, and
-// hence the decode, is byte-identical to ShardParallelism = 1 at any
-// shard count.
+// bounds the serial sweep would use, so every owned position holds the
+// serial sweep's value — or, once the threshold is fixed, possibly
+// dsp.Below where that value is below the threshold: stripe seams are
+// not the serial sweep's chunk seams, so the gated kernel's sentinels
+// can sit elsewhere, and DESIGN.md §12 shows no decision depends on
+// where. The owner adopts completed stripes strictly in submission
+// order (the overlap-dedup rule: only the owned range enters s.mag), so
+// the decode is byte-identical to ShardParallelism = 1 at any shard
+// count.
 
 import (
 	"fmt"
@@ -89,11 +92,12 @@ type stripeJob struct {
 	re, im       []float64
 	base         int64
 	gap, win     int64
+	gate         float64
 	dst          []float64
 }
 
 func (j *stripeJob) run() {
-	sweepRange(j.dst, j.re, j.im, j.base, j.lo, j.hi, j.intLo, j.intHi, j.gap, j.win)
+	sweepRange(j.dst, j.re, j.im, j.base, j.lo, j.hi, j.intLo, j.intHi, j.gap, j.win, j.gate)
 }
 
 // shardOn reports whether the sharded sweep is active.
@@ -169,7 +173,7 @@ func (s *Stream) enqueueStripe(r shard.Range) {
 		lo: r.Lo, hi: r.Hi,
 		intLo: margin, intHi: s.limit() - margin,
 		re: s.sumsRe, im: s.sumsIm, base: s.sumBase,
-		gap: g, win: w,
+		gap: g, win: w, gate: s.sweepGate(),
 		dst: st.mag,
 	}
 	if run := s.runStripe; run != nil {
@@ -186,20 +190,27 @@ func (s *Stream) enqueueStripe(r shard.Range) {
 }
 
 // sweepRange computes the differential magnitudes of positions
-// [lo, hi) into dst (dst[i] holds position lo+i): dsp.DiffSweep over
+// [lo, hi) into dst (dst[i] holds position lo+i): the sweep kernel over
 // the interior [intLo, intHi), zeros on the capture-edge margins
 // outside it. re/im are from-origin prefix sums whose index 0 is
-// absolute sample position base. It is the one sweep body, shared by
+// absolute sample position base. gate > 0 selects dsp.DiffSweepGated
+// at that threshold, with the centroid reach Gap+2 as its dilation;
+// gate = 0 the exact dsp.DiffSweep. It is the one sweep body, shared by
 // the inline chunks and the pool's stripes; it touches only dst and
 // read-only prefix entries.
-func sweepRange(dst, re, im []float64, base, lo, hi, intLo, intHi, g, w int64) {
+func sweepRange(dst, re, im []float64, base, lo, hi, intLo, intHi, g, w int64, gate float64) {
 	ilo := max(lo, intLo)
 	ihi := min(hi, intHi)
 	for p := lo; p < min(ilo, hi); p++ {
 		dst[p-lo] = 0
 	}
 	if ilo < ihi {
-		dsp.DiffSweep(re, im, int(ilo-base), g, w, dst[ilo-lo:ihi-lo])
+		j0, out := int(ilo-base), dst[ilo-lo:ihi-lo]
+		if gate > 0 {
+			dsp.DiffSweepGated(re, im, j0, g, w, gate, int(g+2), out)
+		} else {
+			dsp.DiffSweep(re, im, j0, g, w, out)
+		}
 	}
 	for p := max(ihi, lo); p < hi; p++ {
 		dst[p-lo] = 0

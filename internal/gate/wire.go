@@ -25,7 +25,7 @@ import (
 
 // Wire format: the shared framing from internal/wire —
 //
-//	magic(2) | type(1) | payloadLen(4, LE) | payload | crc32(4, LE)
+//	magic(2) | type(1) | payloadLen(4, LE) | hdrCRC(4, LE) | payload | crc32(4, LE)
 //
 // — under the 'L','G' magic. Samples travel as IEEE-754 bit patterns
 // (re, im float64 pairs), so pushed blocks are bit-exact across hosts
@@ -35,8 +35,10 @@ const (
 	gateMagic1 = 0x47 // 'G'
 
 	// protoVersion gates the handshake: the gateway refuses readers
-	// speaking a different framing or chunk layout.
-	protoVersion = 1
+	// speaking a different framing or chunk layout. Version 2 added the
+	// header CRC, so a corrupted length field is refused from the header
+	// instead of stalling the reader on a body that never comes.
+	protoVersion = 2
 
 	// maxChunkSamples bounds one chunk's declared sample count so a
 	// corrupted-but-CRC-lucky count can never drive a giant allocation.

@@ -2,14 +2,17 @@
 // reader-gateway ingest protocol (internal/gate). Every frame has the
 // shape
 //
-//	magic(2) | type(1) | payloadLen(4, LE) | payload | crc32(4, LE)
+//	magic(2) | type(1) | payloadLen(4, LE) | hdrCRC(4, LE) | payload | crc32(4, LE)
 //
 // and a Proto pins the magic bytes and payload cap; the message codecs
-// live with the protocol. The CRC (IEEE) covers type, length, and
-// payload, so a flipped bit anywhere in the frame — header or body — is
-// detected before any field is trusted. Payload integers are
-// little-endian; float64s travel as IEEE-754 bit patterns
-// (math.Float64bits), so shipped samples are bit-exact across hosts.
+// live with the protocol. Both CRCs are IEEE. The header CRC covers
+// type and length, so a corrupted length is caught from the header
+// alone — before the reader trusts it and blocks waiting for a body
+// that will never come. The trailing CRC covers type, length, and
+// payload, so a flipped bit anywhere in the frame is detected before
+// any field is trusted. Payload integers are little-endian; float64s
+// travel as IEEE-754 bit patterns (math.Float64bits), so shipped
+// samples are bit-exact across hosts.
 //
 // Framing violations (bad magic, CRC mismatch, oversized payload,
 // trailing bytes) surface as *wire.Error so protocol layers can treat
@@ -41,7 +44,7 @@ type Proto struct {
 }
 
 const (
-	headerLen  = 2 + 1 + 4
+	headerLen  = 2 + 1 + 4 + 4
 	trailerLen = 4
 )
 
@@ -67,8 +70,10 @@ func (p Proto) WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	buf := make([]byte, headerLen+len(payload)+trailerLen)
 	buf[0], buf[1], buf[2] = p.Magic0, p.Magic1, typ
 	binary.LittleEndian.PutUint32(buf[3:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[7:], crc32.ChecksumIEEE(buf[2:7]))
 	copy(buf[headerLen:], payload)
-	crc := crc32.ChecksumIEEE(buf[2 : headerLen+len(payload)])
+	crc := crc32.ChecksumIEEE(buf[2:7])
+	crc = crc32.Update(crc, crc32.IEEETable, payload)
 	binary.LittleEndian.PutUint32(buf[headerLen+len(payload):], crc)
 	_, err := w.Write(buf)
 	return err
@@ -85,6 +90,9 @@ func (p Proto) ReadFrame(r io.Reader) (byte, []byte, error) {
 	if hdr[0] != p.Magic0 || hdr[1] != p.Magic1 {
 		return 0, nil, p.Errf("bad magic %02x%02x", hdr[0], hdr[1])
 	}
+	if binary.LittleEndian.Uint32(hdr[7:]) != crc32.ChecksumIEEE(hdr[2:7]) {
+		return 0, nil, p.Errf("header crc mismatch")
+	}
 	n := binary.LittleEndian.Uint32(hdr[3:])
 	if int64(n) > int64(p.MaxPayload) {
 		return 0, nil, p.Errf("payload length %d exceeds max %d", n, p.MaxPayload)
@@ -96,7 +104,7 @@ func (p Proto) ReadFrame(r io.Reader) (byte, []byte, error) {
 		}
 		return 0, nil, err
 	}
-	crc := crc32.ChecksumIEEE(hdr[2:])
+	crc := crc32.ChecksumIEEE(hdr[2:7])
 	crc = crc32.Update(crc, crc32.IEEETable, body[:n])
 	if got := binary.LittleEndian.Uint32(body[n:]); got != crc {
 		return 0, nil, p.Errf("crc mismatch on type %d frame", hdr[2])

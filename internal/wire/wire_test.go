@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"math"
 	"testing"
@@ -48,10 +49,9 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 // TestReadFrameRejectsCorruption: flipping any single bit after the
-// magic — type, length, payload, or CRC — is a framing error, never a
-// silently accepted frame. A length flip that makes the declared
-// payload longer than the bytes present is caught by the length cap or
-// surfaces as a truncated read; either way the frame is refused.
+// magic — type, length, header CRC, payload, or CRC — is a framing
+// error, never a silently accepted frame and never a read waiting on
+// bytes a corrupted length promised.
 func TestReadFrameRejectsCorruption(t *testing.T) {
 	good := frame(t, 3, []byte("payload bytes"))
 	for i := 2; i < len(good); i++ {
@@ -62,8 +62,7 @@ func TestReadFrameRejectsCorruption(t *testing.T) {
 			if err == nil {
 				t.Fatalf("byte %d bit %d flipped: frame accepted", i, bit)
 			}
-			inLen := i >= 3 && i < headerLen
-			if !isWireErr(err) && !(inLen && errors.Is(err, io.ErrUnexpectedEOF)) {
+			if !isWireErr(err) {
 				t.Fatalf("byte %d bit %d flipped: got %v, want a framing error", i, bit, err)
 			}
 		}
@@ -80,12 +79,16 @@ func TestReadFrameRejectsCorruption(t *testing.T) {
 // body is allocated or read — so a corrupt length field cannot make the
 // reader allocate gigabytes or block waiting for them.
 func TestReadFrameRejectsOversizedBeforeAllocation(t *testing.T) {
-	hdr := []byte{testProto.Magic0, testProto.Magic1, 1, 0, 0, 0, 0}
+	hdr := make([]byte, headerLen)
+	hdr[0], hdr[1], hdr[2] = testProto.Magic0, testProto.Magic1, 1
 	for _, n := range []uint32{uint32(testProto.MaxPayload) + 1, math.MaxUint32} {
 		binary.LittleEndian.PutUint32(hdr[3:], n)
+		binary.LittleEndian.PutUint32(hdr[7:], crc32.ChecksumIEEE(hdr[2:7]))
 		r := bytes.NewReader(append(append([]byte(nil), hdr...), 1, 2, 3))
 		var err error
-		allocs := testing.AllocsPerRun(1, func() {
+		// Averaged over 20 runs: under the race detector, allocations
+		// from other goroutines land in a single run's count.
+		allocs := testing.AllocsPerRun(20, func() {
 			r.Reset(append(append([]byte(nil), hdr...), 1, 2, 3))
 			_, _, err = testProto.ReadFrame(r)
 		})
@@ -102,6 +105,30 @@ func TestReadFrameRejectsOversizedBeforeAllocation(t *testing.T) {
 	var buf bytes.Buffer
 	if err := testProto.WriteFrame(&buf, 1, make([]byte, testProto.MaxPayload+1)); !isWireErr(err) || buf.Len() != 0 {
 		t.Fatalf("oversized write: err %v, %d bytes written", err, buf.Len())
+	}
+}
+
+// TestReadFrameRejectsCorruptLengthFromHeader: every single-byte
+// corruption of the length field — each of the four bytes XORed with
+// every nonzero pattern — is refused from the header alone: a framing
+// error with the reader left exactly at the end of the header. A
+// corrupted length must never send the reader after a body the sender
+// never wrote (on a live connection that read blocks until a timeout).
+func TestReadFrameRejectsCorruptLengthFromHeader(t *testing.T) {
+	good := frame(t, 4, []byte("ack"))
+	for i := 3; i < 7; i++ {
+		for x := 1; x < 256; x++ {
+			b := append([]byte(nil), good...)
+			b[i] ^= byte(x)
+			r := bytes.NewReader(b)
+			_, _, err := testProto.ReadFrame(r)
+			if !isWireErr(err) {
+				t.Fatalf("length byte %d ^ %#02x: got %v, want a framing error", i, x, err)
+			}
+			if read := len(b) - r.Len(); read != headerLen {
+				t.Fatalf("length byte %d ^ %#02x: read %d bytes, want the %d-byte header only", i, x, read, headerLen)
+			}
+		}
 	}
 }
 
