@@ -55,6 +55,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPrefixRepair -fuzztime $(FUZZTIME) ./internal/dsp
 	$(GO) test -run '^$$' -fuzz '^FuzzDiffSweep$$' -fuzztime $(FUZZTIME) ./internal/dsp
 	$(GO) test -run '^$$' -fuzz FuzzDiffSweepGated -fuzztime $(FUZZTIME) ./internal/dsp
+	$(GO) test -run '^$$' -fuzz FuzzDistGate -fuzztime $(FUZZTIME) ./internal/streams
 
 # Short-budget fuzz pass for CI: enough executions to catch decode-path
 # panics on adversarial input without stalling the gate.
@@ -65,12 +66,17 @@ fuzz-smoke:
 # against the complex128 reference and the gated kernel's soundness
 # against the exact one (DESIGN.md §12), plus the direct unit
 # equivalence suites for the SoA sweep, quickselect median, and
-# chain-pass NMS, and the stream-level gated-vs-exact identity.
+# chain-pass NMS, and the stream-level gated-vs-exact identity; then
+# the registration kernels (DESIGN.md §19): Register's output against
+# the recorded digest table, the position index against sort.Search,
+# and a fuzz pass of the squared-distance gates against dsp.Dist.
 kernel-smoke:
 	$(GO) test -run 'TestPrefixSoA|TestMedianFloat|TestSuppress' ./internal/dsp
 	$(GO) test -run 'TestGatedSweep' ./internal/edgedetect
 	$(GO) test -run '^$$' -fuzz '^FuzzDiffSweep$$' -fuzztime 5s ./internal/dsp
 	$(GO) test -run '^$$' -fuzz FuzzDiffSweepGated -fuzztime 5s ./internal/dsp
+	$(GO) test -run 'TestRegisterDigest|TestLowerBound|TestLatticeMemo|TestDistGate' ./internal/streams
+	$(GO) test -run '^$$' -fuzz FuzzDistGate -fuzztime 5s ./internal/streams
 
 # Observability smoke: the golden-trace corpus (batch + streaming,
 # byte-for-byte against testdata/golden/) and the metrics conservation

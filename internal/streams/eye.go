@@ -1,16 +1,11 @@
 package streams
 
 import (
-	"fmt"
 	"math"
-	"os"
 	"sort"
 
-	"lf/internal/cluster"
-	"lf/internal/collide"
 	"lf/internal/dsp"
 	"lf/internal/edgedetect"
-	"lf/internal/rng"
 )
 
 // Eye-pattern registration (§3.2 "Decoding edges"). The preamble
@@ -30,9 +25,6 @@ import (
 // antipodal clusters ±e, a merged pair yields the ±e₁, ±e₂, ±e₁±e₂
 // lattice — so each peak is vector-analyzed and may register as two
 // streams sharing a grid.
-
-// eyeDebug enables stderr tracing of eye registration (development).
-var eyeDebug = os.Getenv("LF_EYE_DEBUG") != ""
 
 // eyeParams derives the folding window and thresholds for one period.
 type eyeParams struct {
@@ -73,25 +65,26 @@ func eyeParamsFor(period float64, cfg Config, maxSlots int) eyeParams {
 // phase folding. Found streams' edges are consumed; regions that fail
 // to validate are blocked (not consumed — their edges may belong to a
 // slower rate folded onto one phase).
-func eyeRegister(edges []edgedetect.Edge, used []bool, rate float64, cfg Config, payloadBits int, src *rng.Source) []*Stream {
+func (c *regCtx) eyeRegister(rate float64, cfg Config, payloadBits int) []*Stream {
 	period := cfg.SampleRate / rate
-	maxSlots := FrameSlots(cfg, payloadBits)
-	ep := eyeParamsFor(period, cfg, maxSlots)
+	numSlots := FrameSlots(cfg, payloadBits)
+	ep := eyeParamsFor(period, cfg, numSlots)
 	bins := int(period / ep.binWidth)
-	blocked := make([]bool, bins+1)
-	if eyeDebug {
-		unused := 0
-		for i := range edges {
-			if !used[i] {
-				unused++
-			}
-		}
-		fmt.Fprintf(os.Stderr, "eyeRegister rate %.0f: %d unused edges, bins %d, window %.0f, minHits %d\n",
-			rate, unused, bins, ep.windowPos, ep.minHits)
+	if bins < 4 {
+		return nil
 	}
+	c.foldRate(period, bins, ep.windowPos)
+	counts := make([]int, bins)
+	blocked := make([]bool, bins)
 	var found []*Stream
 	for {
-		sts := eyeOnce(edges, used, blocked, rate, period, ep, cfg, payloadBits, src)
+		clear(counts)
+		for i, b := range c.bin {
+			if !c.used[i] {
+				counts[b]++
+			}
+		}
+		sts := c.eyeOnce(counts, blocked, rate, period, ep, cfg, numSlots)
 		if len(sts) == 0 {
 			return found
 		}
@@ -99,131 +92,116 @@ func eyeRegister(edges []edgedetect.Edge, used []bool, rate float64, cfg Config,
 	}
 }
 
-// eyeOnce extracts the strongest remaining phase-cluster region as one
-// or more streams, or returns nil when no peak clears the threshold.
-// A region can hold several tags — chains of nearby comparator phases
-// are common at sixteen tags — so the member differentials are
-// analyzed for up to four per-tag generator vectors, and each
-// recovered generator gets its own grid fit from its solo edges.
-func eyeOnce(edges []edgedetect.Edge, used []bool, blocked []bool, rate, period float64, ep eyeParams, cfg Config, payloadBits int, src *rng.Source) []*Stream {
-	bins := int(period / ep.binWidth)
-	if bins < 4 {
-		return nil
+// foldRate fills the fold table for one period: the phase and bin of
+// every edge in the folding window. Edges are sorted by position, so
+// the window (every edge not beyond windowPos) is a prefix.
+func (c *regCtx) foldRate(period float64, bins int, windowPos float64) {
+	w := 0
+	for w < len(c.edges) && !(float64(c.edges[w].Pos) > windowPos) {
+		w++
 	}
-	counts := make([]int, bins)
-	for i := range edges {
-		if used[i] || float64(edges[i].Pos) > ep.windowPos {
-			continue
-		}
-		phase := math.Mod(float64(edges[i].Pos), period)
+	c.phase, c.bin = c.phase[:0], c.bin[:0]
+	for i := 0; i < w; i++ {
+		phase := math.Mod(float64(c.edges[i].Pos), period)
 		b := int(phase / period * float64(bins))
 		if b >= bins {
 			b = bins - 1
 		}
-		counts[b]++
+		c.phase = append(c.phase, phase)
+		c.bin = append(c.bin, b)
 	}
-	// Peak bin plus its neighbour (the phase may straddle a bin edge).
-	best, bestCount := -1, 0
-	for b := 0; b < bins; b++ {
-		if blocked[b] {
-			continue
-		}
-		c := counts[b] + counts[(b+1)%bins]
-		if c > bestCount {
-			best, bestCount = b, c
-		}
-	}
-	if best < 0 || bestCount < ep.minHits {
-		if eyeDebug {
-			fmt.Fprintf(os.Stderr, "eye rate %.0f: no peak (best %d < %d)\n", rate, bestCount, ep.minHits)
-		}
-		return nil
-	}
-	// Expand the peak into a contiguous region of active bins: phase
-	// chains span several bins.
-	loBin, hiBin := best, best+1
-	active := ep.minHits / 4
-	if active < 2 {
-		active = 2
-	}
-	for span := 0; span < bins/3 && counts[(loBin-1+bins)%bins] >= active; span++ {
-		loBin = (loBin - 1 + bins) % bins
-	}
-	for span := 0; span < bins/3 && counts[(hiBin+1)%bins] >= active; span++ {
-		hiBin = (hiBin + 1) % bins
-	}
-	// Use the same quantization as the counting loop (period/bins, not
-	// the nominal binWidth — integer truncation makes them differ, and
-	// a peak's members must not fall outside its own region).
-	actualWidth := period / float64(bins)
-	loPh := float64(loBin) * actualWidth
-	hiPh := (float64(hiBin) + 1) * actualWidth
-	members := collectRegion(edges, used, period, loPh, hiPh, ep.windowPos)
-	if len(members) < ep.minHits {
-		if eyeDebug {
-			fmt.Fprintf(os.Stderr, "eye rate %.0f: region [%.0f,%.0f] only %d members\n", rate, loPh, hiPh, len(members))
-		}
-		return nil
-	}
-	gens, shadowed := regionGenerators(edges, members, src)
-	if len(gens) == 0 && eyeDebug {
-		fmt.Fprintf(os.Stderr, "eye rate %.0f: no generators from %d members\n", rate, len(members))
-	}
-	if eyeDebug {
-		fmt.Fprintf(os.Stderr, "eye region [%.0f,%.0f] members=%d gens=%d\n", loPh, hiPh, len(members), len(gens))
-		for _, g := range gens {
-			fmt.Fprintf(os.Stderr, "  gen %.2e angle %.0f\n", dsp.Abs(g), math.Atan2(imag(g), real(g))*180/math.Pi)
-		}
-	}
-	var out []*Stream
-	for gi := range gens {
-		st := fitGenerator(edges, members, gens, gi, shadowed[gi], period, cfg)
-		e := gens[gi]
-		if st == nil {
-			if eyeDebug {
-				fmt.Fprintf(os.Stderr, "  gen %.2e: fit failed\n", dsp.Abs(e))
+}
+
+// eyeOnce extracts the strongest phase-cluster region that validates as
+// one or more streams, or returns nil when no peak clears the threshold.
+// counts is the histogram of the unused in-window edges; a region that
+// fails to validate is blocked and the next-best one tried against the
+// same histogram. A region can hold several tags — chains of nearby
+// comparator phases are common at sixteen tags — so the member
+// differentials are analyzed for up to four per-tag generator vectors,
+// and each recovered generator gets its own grid fit from its solo
+// edges.
+func (c *regCtx) eyeOnce(counts []int, blocked []bool, rate, period float64, ep eyeParams, cfg Config, numSlots int) []*Stream {
+	bins := len(counts)
+	for {
+		// Peak bin plus its neighbour (the phase may straddle a bin edge).
+		best, bestCount := -1, 0
+		for b := 0; b < bins; b++ {
+			if blocked[b] {
+				continue
 			}
-			continue
-		}
-		st.Rate = rate
-		st.Source = SourceEye
-		if !validateHead(edges, st, gens, gi, shadowed[gi], cfg) {
-			if eyeDebug {
-				fmt.Fprintf(os.Stderr, "  gen %.2e: head invalid at off %.1f\n", dsp.Abs(e), st.Offset)
+			if n := counts[b] + counts[(b+1)%bins]; n > bestCount {
+				best, bestCount = b, n
 			}
-			continue
 		}
-		if eyeDebug {
-			fmt.Fprintf(os.Stderr, "  gen %.2e -> stream off=%.1f per=%.4f\n", dsp.Abs(e), st.Offset, st.Period)
+		if best < 0 || bestCount < ep.minHits {
+			return nil
 		}
-		out = append(out, st)
-	}
-	if len(out) == 0 {
+		// Expand the peak into a contiguous region of active bins: phase
+		// chains span several bins.
+		loBin, hiBin := best, best+1
+		active := ep.minHits / 4
+		if active < 2 {
+			active = 2
+		}
+		for span := 0; span < bins/3 && counts[(loBin-1+bins)%bins] >= active; span++ {
+			loBin = (loBin - 1 + bins) % bins
+		}
+		for span := 0; span < bins/3 && counts[(hiBin+1)%bins] >= active; span++ {
+			hiBin = (hiBin + 1) % bins
+		}
+		// Use the same quantization as the counting loop (period/bins, not
+		// the nominal binWidth — integer truncation makes them differ, and
+		// a peak's members must not fall outside its own region).
+		actualWidth := period / float64(bins)
+		loPh := float64(loBin) * actualWidth
+		hiPh := (float64(hiBin) + 1) * actualWidth
+		members := c.collectRegion(loPh, hiPh)
+		if len(members) < ep.minHits {
+			return nil
+		}
+		gens, shadowed := regionGenerators(c.edges, members)
+		var out []*Stream
+		for gi := range gens {
+			// One (gens, target) pair: the anchor scan and the head
+			// check share the memo.
+			c.memo.reset(len(c.edges))
+			st := c.fitGenerator(members, gens, gi, shadowed[gi], period, cfg)
+			if st == nil {
+				continue
+			}
+			st.Rate = rate
+			st.Source = SourceEye
+			if !c.validateHead(st, gens, gi, shadowed[gi], cfg) {
+				continue
+			}
+			out = append(out, st)
+		}
+		if len(out) > 0 {
+			for _, mi := range members {
+				c.used[mi] = true
+			}
+			for _, st := range out {
+				c.consumePayloadEdges(st, numSlots, cfg)
+			}
+			return out
+		}
 		// Nothing validated: block the peak bin and try the next-best
 		// region. The members stay available — they may belong to a
 		// slower rate whose edges all fold onto one phase here.
 		blocked[best] = true
-		return eyeOnce(edges, used, blocked, rate, period, ep, cfg, payloadBits, src)
 	}
-	for _, mi := range members {
-		used[mi] = true
-	}
-	for _, st := range out {
-		consumePayloadEdges(edges, used, st, FrameSlots(cfg, payloadBits), cfg)
-	}
-	return out
 }
 
-// collectRegion returns indices of unused edges whose phase lies in
-// [loPh, hiPh] (mod period, loPh may exceed hiPh when the region wraps)
-// and inside the folding window.
-func collectRegion(edges []edgedetect.Edge, used []bool, period, loPh, hiPh, windowPos float64) []int {
+// collectRegion returns indices of unused in-window edges whose phase
+// lies in [loPh, hiPh] (mod period, loPh may exceed hiPh when the
+// region wraps).
+func (c *regCtx) collectRegion(loPh, hiPh float64) []int {
 	var out []int
-	for i := range edges {
-		if used[i] || float64(edges[i].Pos) > windowPos {
+	for i, phase := range c.phase {
+		if c.used[i] {
 			continue
 		}
-		phase := math.Mod(float64(edges[i].Pos), period)
 		in := false
 		if loPh <= hiPh {
 			in = phase >= loPh && phase <= hiPh
@@ -243,7 +221,7 @@ func collectRegion(edges []edgedetect.Edge, used []bool, period, loPh, hiPh, win
 // sit on the pure generators ±eᵢ, avoiding the lattice-recovery
 // problem almost entirely — only pairs tighter than the detector's
 // peak resolution still contribute combo contamination.
-func regionGenerators(edges []edgedetect.Edge, members []int, src *rng.Source) ([]complex128, []bool) {
+func regionGenerators(edges []edgedetect.Edge, members []int) ([]complex128, []bool) {
 	var diffs []complex128
 	for _, mi := range members {
 		if edges[mi].Peaks == 1 {
@@ -256,7 +234,7 @@ func regionGenerators(edges []edgedetect.Edge, members []int, src *rng.Source) (
 			diffs = append(diffs, edges[mi].Diff)
 		}
 	}
-	return peelGenerators(diffs, src)
+	return peelGenerators(diffs)
 }
 
 // peelGenerators extracts per-tag vectors from a mixed differential
@@ -269,7 +247,7 @@ func regionGenerators(edges []edgedetect.Edge, members []int, src *rng.Source) (
 // (their "corners" 2e₁ and 2e₂ are never observed). Modes left
 // unexplained by the basis (third/fourth tags in a phase chain) join
 // the generator set unless they are lattice combinations of it.
-func peelGenerators(diffs []complex128, src *rng.Source) ([]complex128, []bool) {
+func peelGenerators(diffs []complex128) ([]complex128, []bool) {
 	work := append([]complex128(nil), diffs...)
 	floor := noiseScale(work)
 	minWeight := len(diffs) / 10
@@ -288,8 +266,9 @@ func peelGenerators(diffs []complex128, src *rng.Source) ([]complex128, []bool) 
 		}
 		modes = append(modes, mode{e, weight})
 		var kept []complex128
+		retire := newDistGate(0.35 * dsp.Abs(e))
 		for _, d := range work {
-			if dsp.Dist(d, e) > 0.35*dsp.Abs(e) && dsp.Dist(d, -e) > 0.35*dsp.Abs(e) {
+			if retire.gt(d, e) && retire.gt(d, -e) {
 				kept = append(kept, d)
 			}
 		}
@@ -465,13 +444,7 @@ func densestMode(points []complex128, floor float64) (complex128, int) {
 			if dsp.Abs(d) < 4*floor {
 				continue // origin cluster is not a generator
 			}
-			r := radiusFor(d)
-			count := 0
-			for _, q := range work {
-				if dsp.Dist(q, d) <= r || dsp.Dist(q, -d) <= r {
-					count++
-				}
-			}
+			count := newDistGate(radiusFor(d)).countPM(work, d)
 			if count > bestCount {
 				bestIdx, bestCount = i, count
 			}
@@ -480,16 +453,16 @@ func densestMode(points []complex128, floor float64) (complex128, int) {
 			return 0, 0
 		}
 		centre := work[bestIdx]
-		r := radiusFor(centre)
+		g := newDistGate(radiusFor(centre))
 		var sum complex128
 		var spread float64
 		n := 0
 		for _, q := range work {
 			switch {
-			case dsp.Dist(q, centre) <= r:
+			case g.le(q, centre):
 				sum += q
 				n++
-			case dsp.Dist(q, -centre) <= r:
+			case g.le(q, -centre):
 				sum -= q
 				n++
 			}
@@ -499,7 +472,7 @@ func densestMode(points []complex128, floor float64) (complex128, int) {
 		}
 		v := sum / complex(float64(n), 0)
 		for _, q := range work {
-			if dsp.Dist(q, centre) <= r || dsp.Dist(q, -centre) <= r {
+			if g.le(q, centre) || g.le(q, -centre) {
 				spread += math.Min(dsp.Dist(q, v), dsp.Dist(q, -v))
 			}
 		}
@@ -510,7 +483,7 @@ func densestMode(points []complex128, floor float64) (complex128, int) {
 		// Remove the rejected blob and retry.
 		var kept []complex128
 		for _, q := range work {
-			if dsp.Dist(q, centre) > r && dsp.Dist(q, -centre) > r {
+			if g.gt(q, centre) && g.gt(q, -centre) {
 				kept = append(kept, q)
 			}
 		}
@@ -533,17 +506,8 @@ func noiseScale(diffs []complex128) float64 {
 		return 0
 	}
 	nn := make([]float64, len(diffs))
-	for i, d := range diffs {
-		best := math.Inf(1)
-		for j, q := range diffs {
-			if i == j {
-				continue
-			}
-			if dist := dsp.Dist(d, q); dist < best {
-				best = dist
-			}
-		}
-		nn[i] = best
+	for i := range diffs {
+		nn[i] = nearestDist(diffs, i)
 	}
 	sort.Float64s(nn)
 	return nn[len(nn)/2]
@@ -554,13 +518,13 @@ func noiseScale(diffs []complex128) float64 {
 // edges carry uncorrupted positions), and its anchor found with the
 // frame-head template scan against the joint lattice of all the
 // region's generators.
-func fitGenerator(edges []edgedetect.Edge, members []int, gens []complex128, target int, shadowed bool, nominal float64, cfg Config) *Stream {
+func (c *regCtx) fitGenerator(members []int, gens []complex128, target int, shadowed bool, nominal float64, cfg Config) *Stream {
 	e := gens[target]
-	tol := 0.5 * dsp.Abs(e)
+	tol := newDistGate(0.5 * dsp.Abs(e))
 	var solo []int
 	for _, mi := range members {
-		d := edges[mi].Diff
-		if dsp.Dist(d, e) <= tol || dsp.Dist(d, -e) <= tol {
+		d := c.edges[mi].Diff
+		if tol.le(d, e) || tol.le(d, -e) {
 			solo = append(solo, mi)
 		}
 	}
@@ -569,18 +533,12 @@ func fitGenerator(edges []edgedetect.Edge, members []int, gens []complex128, tar
 		// edges; fall back to the shared grid of the whole region.
 		solo = members
 	}
-	grid := fitGrid(edges, solo, nominal, cfg)
+	grid := fitGrid(c.edges, solo, nominal, cfg)
 	if grid == nil {
-		if eyeDebug {
-			fmt.Fprintf(os.Stderr, "    fitGrid failed (%d solo)\n", len(solo))
-		}
 		return nil
 	}
-	offset := anchorScan(edges, grid.offset, grid.period, gens, target, shadowed, cfg)
+	offset := c.anchorScan(grid.offset, grid.period, gens, target, shadowed, cfg)
 	if offset < 0 || int64(offset) > cfg.MaxStart {
-		if eyeDebug {
-			fmt.Fprintf(os.Stderr, "    anchor failed (offset %.1f, shadowed %v)\n", offset, shadowed)
-		}
 		return nil
 	}
 	return &Stream{Offset: offset, Period: grid.period, E: e}
@@ -590,14 +548,15 @@ func fitGenerator(edges []edgedetect.Edge, members []int, gens []complex128, tar
 // in which the stream's vector participates at nearly every one of the
 // first PreambleLen slots — except when a near-antipodal sibling can
 // cancel the co-toggle below detectability, in which case missing
-// edges are forgiven more generously.
-func validateHead(edges []edgedetect.Edge, st *Stream, siblings []complex128, target int, shadowed bool, cfg Config) bool {
+// edges are forgiven more generously. The memo must hold (siblings,
+// target) entries or none.
+func (c *regCtx) validateHead(st *Stream, siblings []complex128, target int, shadowed bool, cfg Config) bool {
 	head := 0
-	memo := newLatticeMemo(len(edges))
+	eAbs := dsp.Abs(siblings[target])
 	for k := 0; k < cfg.PreambleLen; k++ {
 		expect := st.Offset + float64(k)*st.Period
 		tol := float64(cfg.PosTol) + 2 + float64(k)*st.Period*cfg.DriftPPM/1e6
-		if eOccupied(edges, expect, tol, siblings, target, memo) {
+		if c.eOccupied(expect, tol, siblings, target, eAbs) {
 			head++
 		}
 	}
@@ -625,25 +584,6 @@ func cancellable(gens []complex128, target int) bool {
 	return false
 }
 
-// latticeMemo caches latticeFit results per edge index for one fixed
-// (gens, target) pair. The anchor scan and head validation re-test the
-// same edges at many overlapping scan positions, and each latticeFit
-// enumerates {−1,0,1}^n — caching the pure function's value is
-// bit-identical to recomputing it and removes the enumeration from all
-// repeat visits. NaN marks an uncomputed entry (latticeFit never
-// returns NaN for finite inputs: dsp.Dist of finite values is finite).
-type latticeMemo struct {
-	with, without []float64
-}
-
-func newLatticeMemo(n int) *latticeMemo {
-	m := &latticeMemo{with: make([]float64, n), without: make([]float64, n)}
-	for i := range m.with {
-		m.with[i] = math.NaN()
-	}
-	return m
-}
-
 // eOccupied reports whether an edge near pos plausibly contains a ±1
 // component of gens[target] — i.e. whether this stream toggled there,
 // alone or inside a collision with its sibling generators. The test
@@ -652,31 +592,18 @@ func newLatticeMemo(n int) *latticeMemo {
 // — and declares occupancy when including the target's contribution
 // improves the fit by a meaningful margin. This stays correct under
 // destructive interference (|e+f| < |f|), where any magnitude-
-// reduction heuristic fails. memo, when non-nil, must have been built
-// for this exact (edges, gens, target) triple.
-func eOccupied(edges []edgedetect.Edge, pos, tol float64, gens []complex128, target int, memo *latticeMemo) bool {
-	e := gens[target]
-	eAbs := dsp.Abs(e)
+// reduction heuristic fails. eAbs is dsp.Abs(gens[target]); the memo
+// must hold (gens, target) entries or none.
+func (c *regCtx) eOccupied(pos, tol float64, gens []complex128, target int, eAbs float64) bool {
 	if eAbs == 0 {
 		return false
 	}
-	lo := sort.Search(len(edges), func(i int) bool {
-		return float64(edges[i].Pos) >= pos-tol-16
-	})
-	for i := lo; i < len(edges) && float64(edges[i].First) <= pos+tol; i++ {
+	edges := c.edges
+	for i := c.idx.lowerBound(pos - tol - 16); i < len(edges) && float64(edges[i].First) <= pos+tol; i++ {
 		if float64(edges[i].Last) < pos-tol {
 			continue
 		}
-		var with, without float64
-		if memo != nil && !math.IsNaN(memo.with[i]) {
-			with, without = memo.with[i], memo.without[i]
-		} else {
-			with, without = latticeFit(edges[i].Diff, gens, target)
-			if memo != nil {
-				memo.with[i], memo.without[i] = with, without
-			}
-		}
-		if with < without-0.2*eAbs {
+		if with, without := c.fit(i, gens, target); with < without-0.2*eAbs {
 			return true
 		}
 	}
@@ -726,15 +653,18 @@ func latticeFit(d complex128, gens []complex128, target int) (with, without floa
 // chance, so the vector-participation test is what makes this scan
 // meaningful.
 func AnchorFor(edges []edgedetect.Edge, offset, period float64, e complex128, cfg Config) float64 {
-	return anchorScan(edges, offset, period, []complex128{e}, 0, false, cfg)
+	c := newRegCtx(edges)
+	c.memo.reset(len(edges))
+	return c.anchorScan(offset, period, []complex128{e}, 0, false, cfg)
 }
 
 // anchorScan is AnchorFor with the full sibling generator set, so the
-// occupancy test understands collided frame heads.
-func anchorScan(edges []edgedetect.Edge, offset, period float64, gens []complex128, target int, shadowed bool, cfg Config) float64 {
+// occupancy test understands collided frame heads. The memo must hold
+// (gens, target) entries or none.
+func (c *regCtx) anchorScan(offset, period float64, gens []complex128, target int, shadowed bool, cfg Config) float64 {
 	m := int(offset / period)
 	earliest := offset - float64(m)*period
-	memo := newLatticeMemo(len(edges))
+	eAbs := dsp.Abs(gens[target])
 	occ := func(pos float64, slotsAway int) bool {
 		// Tolerance grows with distance from the fit origin: clock
 		// drift accumulates per slot, which matters at slow rates
@@ -744,7 +674,7 @@ func anchorScan(edges []edgedetect.Edge, offset, period float64, gens []complex1
 			away = -away
 		}
 		tol := float64(cfg.PosTol) + 2 + float64(away)*period*cfg.DriftPPM/1e6
-		return eOccupied(edges, pos, tol, gens, target, memo)
+		return c.eOccupied(pos, tol, gens, target, eAbs)
 	}
 	// When a near-antipodal sibling can swallow co-toggle edges,
 	// missing preamble edges are expected and must not be penalized.
@@ -772,25 +702,17 @@ func anchorScan(edges []edgedetect.Edge, offset, period float64, gens []complex1
 	var winLo, winHi float64
 	if canSkip {
 		tolMax := float64(cfg.PosTol) + 2 + float64(cfg.PreambleLen)*period*cfg.DriftPPM/1e6
-		maxExtent := 0.0
-		for i := range edges {
-			if ext := float64(edges[i].Pos - edges[i].First); ext > maxExtent {
-				maxExtent = ext
-			}
-		}
 		winLo = 2*period + tolMax + 16
-		winHi = float64(cfg.PreambleLen)*period + tolMax + maxExtent
+		winHi = float64(cfg.PreambleLen)*period + tolMax + c.maxExtent
 	}
 	best, bestScore := offset, -1000
 	for pos := earliest; pos <= float64(cfg.MaxStart); pos += period {
 		if canSkip {
-			i := sort.Search(len(edges), func(i int) bool {
-				return float64(edges[i].Pos) >= pos-winLo
-			})
-			if i == len(edges) {
+			i := c.idx.lowerBound(pos - winLo)
+			if i == len(c.edges) {
 				break // no edges this far out: every remaining position is empty
 			}
-			if e := float64(edges[i].Pos); e > pos+winHi {
+			if e := float64(c.edges[i].Pos); e > pos+winHi {
 				// Jump to the first lattice position whose window
 				// reaches the next edge; everything in between is
 				// provably empty. The post statement adds one period.
@@ -830,72 +752,6 @@ func anchorScan(edges []edgedetect.Edge, offset, period float64, gens []complex1
 	return best
 }
 
-// collectMembers returns indices of unused edges within tol of the
-// phase centre (mod period) and inside the folding window.
-func collectMembers(edges []edgedetect.Edge, used []bool, period, centre, tol, windowPos float64) []int {
-	var out []int
-	for i := range edges {
-		if used[i] || float64(edges[i].Pos) > windowPos {
-			continue
-		}
-		phase := math.Mod(float64(edges[i].Pos), period)
-		d := math.Abs(phase - centre)
-		if d > period/2 {
-			d = period - d
-		}
-		if d <= tol {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// analyzeMemberVectors decides whether the peak's member differentials
-// come from one tag (two antipodal clusters ±e) or a merged pair (the
-// eight non-origin lattice points), returning one or two rising-edge
-// vectors.
-func analyzeMemberVectors(edges []edgedetect.Edge, members []int, src *rng.Source) []complex128 {
-	diffs := make([]complex128, len(members))
-	for i, mi := range members {
-		diffs[i] = edges[mi].Diff
-	}
-	// Single-tag hypothesis: k=2, antipodal centroids, most points
-	// close to ±e.
-	km2 := cluster.KMeans(diffs, 2, 4, 60, src)
-	c1, c2 := km2.Centroids[0], km2.Centroids[1]
-	e := (c1 - c2) / 2
-	scale := dsp.Abs(e)
-	if scale > 0 && dsp.Abs(c1+c2) < 0.5*scale {
-		inliers := 0
-		for _, d := range diffs {
-			if dsp.Dist(d, e) <= 0.5*scale || dsp.Dist(d, -e) <= 0.5*scale {
-				inliers++
-			}
-		}
-		// A lone tag's members are essentially all within tolerance of
-		// ±e; a merged pair leaves the solo and opposite-corner lattice
-		// points outside, capping its inlier fraction near 60%.
-		if float64(inliers) >= 0.85*float64(len(diffs)) {
-			return []complex128{e}
-		}
-	}
-	// Merged-pair hypothesis: cluster into the eight non-origin
-	// lattice points and recover the two generators.
-	k := 8
-	if len(diffs) < 2*k {
-		k = 4
-	}
-	km := cluster.KMeans(diffs, k, 6, 80, src)
-	e1, e2, err := collide.RecoverAntipodal(km.Centroids, km.Counts())
-	if err != nil {
-		if scale > 0 {
-			return []complex128{e} // degraded single-vector fallback
-		}
-		return nil
-	}
-	return []complex128{e1, e2}
-}
-
 // gridFit is a fitted slot grid.
 type gridFit struct {
 	offset, period float64
@@ -921,18 +777,6 @@ func fitGrid(edges []edgedetect.Edge, members []int, nominal float64, cfg Config
 		return nil
 	}
 	return &gridFit{offset: offset, period: period}
-}
-
-// findAnyEdgeIncludingUsed is findAnyEdge without the used filter —
-// consumed or collided edges still witness grid occupancy.
-func findAnyEdgeIncludingUsed(edges []edgedetect.Edge, expect, tol float64) int {
-	lo := sort.Search(len(edges), func(i int) bool {
-		return float64(edges[i].Pos) >= expect-tol
-	})
-	if lo < len(edges) && float64(edges[lo].Pos) <= expect+tol {
-		return lo
-	}
-	return -1
 }
 
 // fitLineF least-squares fits ps ≈ offset + k·period over float ks.

@@ -80,13 +80,16 @@ func TestEOccupiedUnderDestructiveInterference(t *testing.T) {
 	f := complex(-7e-4, 1e-4)
 	d := e + f // tiny
 	p := int64(1000)
-	edges := []edgedetect.Edge{{Pos: p, First: p, Last: p, Diff: d, Peaks: 1}}
-	if !eOccupied(edges, 1000, 5, []complex128{e, f}, 0, nil) {
+	occupied := func(d complex128) bool {
+		c := newRegCtx([]edgedetect.Edge{{Pos: p, First: p, Last: p, Diff: d, Peaks: 1}})
+		c.memo.reset(1)
+		return c.eOccupied(1000, 5, []complex128{e, f}, 0, cAbs(e))
+	}
+	if !occupied(d) {
 		t.Fatal("destructive co-toggle not attributed to e")
 	}
 	// A lone f edge must NOT count as e-occupancy.
-	edges[0].Diff = f
-	if eOccupied(edges, 1000, 5, []complex128{e, f}, 0, nil) {
+	if occupied(f) {
 		t.Fatal("sibling-only edge misattributed to e")
 	}
 }
@@ -168,7 +171,7 @@ func TestPeelGeneratorsProperty(t *testing.T) {
 			}
 			diffs = append(diffs, complex(x, 0)*e1+complex(y, 0)*e2+src.ComplexNorm(2*(4e-5)*(4e-5)))
 		}
-		gens, _ := peelGenerators(diffs, src)
+		gens, _ := peelGenerators(diffs)
 		if len(gens) != 2 {
 			return false
 		}

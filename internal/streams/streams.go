@@ -16,7 +16,6 @@ import (
 
 	"lf/internal/dsp"
 	"lf/internal/edgedetect"
-	"lf/internal/rng"
 )
 
 // Config tunes stream registration and slot walking.
@@ -50,9 +49,6 @@ type Config struct {
 	DriftGain float64
 	// Registration selects which registration passes run.
 	Registration RegistrationMode
-	// Seed drives registration-internal randomness (k-means restarts
-	// in the eye pass's merged-peak analysis).
-	Seed int64
 }
 
 // RegistrationMode selects the stream registration strategy.
@@ -83,7 +79,6 @@ func DefaultConfig(sampleRate float64, rates []float64) Config {
 		DriftPPM:         300,
 		MaxStart:         int64(0.25e-3 * sampleRate),
 		DriftGain:        0.25,
-		Seed:             1,
 	}
 }
 
@@ -168,14 +163,15 @@ func (s Source) String() string {
 // exactly like another preamble). Candidates are gathered across all
 // rates, then accepted greedily in start-time order; acceptance
 // consumes the preamble edges and every payload-grid edge matching the
-// stream's ±e vector. Streams are returned ordered by offset.
+// stream's ±e vector. Streams are returned ordered by offset. edges
+// must be sorted by position (as every detector reports them).
 func Register(edges []edgedetect.Edge, cfg Config, payloadBits func(rate float64) int) ([]*Stream, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	rates := append([]float64(nil), cfg.Rates...)
 	sort.Sort(sort.Reverse(sort.Float64Slice(rates)))
-	used := make([]bool, len(edges))
+	c := newRegCtx(edges)
 	var streams []*Stream
 	// Greedy time-ordered acceptance: earlier frames claim their edges
 	// before later (possibly spurious) candidates are considered.
@@ -184,16 +180,16 @@ func Register(edges []edgedetect.Edge, cfg Config, payloadBits func(rate float64
 		for _, rate := range rates {
 			period := cfg.SampleRate / rate
 			for i := range edges {
-				if used[i] || edges[i].Pos > cfg.MaxStart {
+				if c.used[i] || edges[i].Pos > cfg.MaxStart {
 					continue
 				}
-				if !silentBefore(edges, used, i, period, cfg) {
+				if !c.silentBefore(i, period, cfg) {
 					continue
 				}
 				// The first preamble edge may itself have collided;
 				// also try interpreting this edge as preamble index 1.
 				for _, startK := range []int{0, 1} {
-					st := tryPreamble(edges, used, i, startK, period, cfg)
+					st := c.tryPreamble(i, startK, period, cfg)
 					if st == nil {
 						continue
 					}
@@ -211,17 +207,15 @@ func Register(edges []edgedetect.Edge, cfg Config, payloadBits func(rate float64
 		best.ID = len(streams)
 		streams = append(streams, best)
 		for _, ei := range best.PreambleEdges {
-			used[ei] = true
+			c.used[ei] = true
 		}
-		consumePayloadEdges(edges, used, best, payloadBits(best.Rate), cfg)
+		c.consumePayloadEdges(best, payloadBits(best.Rate), cfg)
 	}
 	// Second pass: eye-pattern registration for streams whose preambles
 	// were too collided for the matcher (§3.2's folding detector).
 	if cfg.Registration != RegisterPreambleOnly {
-		src := rng.New(cfg.Seed)
 		for _, rate := range rates {
-			found := eyeRegister(edges, used, rate, cfg, payloadBits(rate), src)
-			streams = append(streams, found...)
+			streams = append(streams, c.eyeRegister(rate, cfg, payloadBits(rate))...)
 		}
 	}
 	streams = dedupe(streams, cfg)
@@ -320,7 +314,8 @@ func dedupe(sts []*Stream, cfg Config) []*Stream {
 // same-grid, same-vector edges. Only grid-aligned positions are
 // examined so that unrelated tags' edges (which can match the vector by
 // chance in a dense deployment) cannot veto a legitimate candidate.
-func silentBefore(edges []edgedetect.Edge, used []bool, start int, period float64, cfg Config) bool {
+func (c *regCtx) silentBefore(start int, period float64, cfg Config) bool {
+	edges := c.edges
 	e := edges[start].Diff
 	vecTol := cfg.VecTol * dsp.Abs(e)
 	for k := 1; k <= 3; k++ {
@@ -329,8 +324,8 @@ func silentBefore(edges []edgedetect.Edge, used []bool, start int, period float6
 			break
 		}
 		tol := float64(cfg.PosTol)
-		if findEdge(edges, used, expect, tol, e, vecTol) >= 0 ||
-			findEdge(edges, used, expect, tol, -e, vecTol) >= 0 {
+		if c.findEdge(expect, tol, e, vecTol) >= 0 ||
+			c.findEdge(expect, tol, -e, vecTol) >= 0 {
 			return false
 		}
 	}
@@ -344,7 +339,7 @@ func silentBefore(edges []edgedetect.Edge, used []bool, start int, period float6
 // they sit dead-centre on the grid (they are then either this stream's
 // edges collided with another tag's, or — when the registered stream
 // is itself a fully-merged pair — the solo edges of its constituents).
-func consumePayloadEdges(edges []edgedetect.Edge, used []bool, st *Stream, numSlots int, cfg Config) {
+func (c *regCtx) consumePayloadEdges(st *Stream, numSlots int, cfg Config) {
 	vecTol := cfg.VecTol * dsp.Abs(st.E)
 	pos := st.Offset
 	sinceLock := 1
@@ -352,19 +347,19 @@ func consumePayloadEdges(edges []edgedetect.Edge, used []bool, st *Stream, numSl
 		// Drift allowance grows only since the last resync; an
 		// unbounded window would swallow unrelated tags' edges.
 		tol := float64(cfg.PosTol) + st.Period*float64(sinceLock)*cfg.DriftPPM/1e6
-		idx := findEdge(edges, used, pos, tol, st.E, vecTol)
+		idx := c.findEdge(pos, tol, st.E, vecTol)
 		if idx < 0 {
-			idx = findEdge(edges, used, pos, tol, -st.E, vecTol)
+			idx = c.findEdge(pos, tol, -st.E, vecTol)
 		}
 		if idx < 0 {
 			// Tight window only: stray edges of unrelated streams must
 			// stay available for their own registration.
-			idx = findAnyEdge(edges, used, pos, float64(cfg.PosTol))
+			idx = c.findAnyEdge(pos, float64(cfg.PosTol))
 		}
 		if idx >= 0 {
-			used[idx] = true
+			c.used[idx] = true
 			// Resync the grid to the found edge to track drift.
-			pos = float64(edges[idx].Pos)
+			pos = float64(c.edges[idx].Pos)
 			sinceLock = 1
 		} else {
 			sinceLock++
@@ -375,13 +370,11 @@ func consumePayloadEdges(edges []edgedetect.Edge, used []bool, st *Stream, numSl
 
 // findAnyEdge returns the closest unused edge within tol of expect
 // regardless of vector, or -1.
-func findAnyEdge(edges []edgedetect.Edge, used []bool, expect, tol float64) int {
-	lo := sort.Search(len(edges), func(i int) bool {
-		return float64(edges[i].Pos) >= expect-tol
-	})
+func (c *regCtx) findAnyEdge(expect, tol float64) int {
+	edges := c.edges
 	best, bestDist := -1, math.Inf(1)
-	for i := lo; i < len(edges) && float64(edges[i].Pos) <= expect+tol; i++ {
-		if used[i] {
+	for i := c.idx.lowerBound(expect - tol); i < len(edges) && float64(edges[i].Pos) <= expect+tol; i++ {
+		if c.used[i] {
 			continue
 		}
 		d := math.Abs(float64(edges[i].Pos) - expect)
@@ -396,7 +389,8 @@ func findAnyEdge(edges []edgedetect.Edge, used []bool, expect, tol float64) int 
 // preamble edge number startK at edge index start (startK 0 is the
 // anchor; startK 1 tolerates a collided first edge). On success it
 // returns a refined stream; otherwise nil.
-func tryPreamble(edges []edgedetect.Edge, used []bool, start, startK int, period float64, cfg Config) *Stream {
+func (c *regCtx) tryPreamble(start, startK int, period float64, cfg Config) *Stream {
+	edges := c.edges
 	e := edges[start].Diff
 	if startK%2 == 1 {
 		e = -e // odd preamble edges are falling ⇒ rising vector is the negation
@@ -416,7 +410,7 @@ func tryPreamble(edges []edgedetect.Edge, used []bool, start, startK int, period
 		if k%2 == 1 {
 			want = -e
 		}
-		idx := findEdge(edges, used, expect, tol, want, cfg.VecTol*scale)
+		idx := c.findEdge(expect, tol, want, cfg.VecTol*scale)
 		if idx < 0 {
 			missing++
 			if cfg.PreambleLen-missing < cfg.MinPreambleEdges {
@@ -453,16 +447,14 @@ func tryPreamble(edges []edgedetect.Edge, used []bool, start, startK int, period
 // findEdge returns the index of an unused edge within tol samples of
 // expect whose differential is within vecTol of want, or -1. When
 // multiple qualify the closest in position wins.
-func findEdge(edges []edgedetect.Edge, used []bool, expect, tol float64, want complex128, vecTol float64) int {
-	lo := sort.Search(len(edges), func(i int) bool {
-		return float64(edges[i].Pos) >= expect-tol
-	})
+func (c *regCtx) findEdge(expect, tol float64, want complex128, vecTol float64) int {
+	edges := c.edges
 	best, bestDist := -1, math.Inf(1)
-	for i := lo; i < len(edges) && float64(edges[i].Pos) <= expect+tol; i++ {
-		if used[i] {
+	for i := c.idx.lowerBound(expect - tol); i < len(edges) && float64(edges[i].Pos) <= expect+tol; i++ {
+		if c.used[i] {
 			continue
 		}
-		if dsp.Dist(edges[i].Diff, want) > vecTol {
+		if distGT(edges[i].Diff, want, vecTol) {
 			continue
 		}
 		d := math.Abs(float64(edges[i].Pos) - expect)
@@ -744,7 +736,7 @@ func pickEdge(edges []edgedetect.Edge, pos, maxDist int64, e complex128, vecTol 
 		if d < bestAnyDist {
 			bestAny, bestAnyDist = i, d
 		}
-		if dsp.Dist(edges[i].Diff, e) <= vecTol || dsp.Dist(edges[i].Diff, -e) <= vecTol {
+		if distLE(edges[i].Diff, e, vecTol) || distLE(edges[i].Diff, -e, vecTol) {
 			if d < bestCleanDist {
 				bestClean, bestCleanDist = i, d
 			}

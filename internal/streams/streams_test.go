@@ -13,7 +13,7 @@ import (
 
 // scenario builds a capture+detector from tag configs with fixed
 // comparator randomness for reproducibility.
-func scenario(t *testing.T, seed int64, payload int, cfgs ...tag.Config) (*edgedetect.Detector, []*tag.Emission) {
+func scenario(t testing.TB, seed int64, payload int, cfgs ...tag.Config) (*edgedetect.Detector, []*tag.Emission) {
 	t.Helper()
 	src := rng.New(seed)
 	p := channel.DefaultParams()
@@ -221,7 +221,7 @@ func TestPeelGeneratorsTwoTags(t *testing.T) {
 		}
 		diffs = append(diffs, complex(a, 0)*e1+complex(b, 0)*e2+src.ComplexNorm(2*(6e-5)*(6e-5)))
 	}
-	gens, _ := peelGenerators(diffs, src)
+	gens, _ := peelGenerators(diffs)
 	if len(gens) != 2 {
 		t.Fatalf("peeled %d generators, want 2", len(gens))
 	}
@@ -244,7 +244,7 @@ func TestPeelGeneratorsSingleTag(t *testing.T) {
 		s := complex(float64(1-2*(i%2)), 0)
 		diffs = append(diffs, s*e+src.ComplexNorm(2*(4e-5)*(4e-5)))
 	}
-	gens, _ := peelGenerators(diffs, src)
+	gens, _ := peelGenerators(diffs)
 	if len(gens) != 1 {
 		t.Fatalf("peeled %d generators from a single tag", len(gens))
 	}
