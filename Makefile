@@ -56,6 +56,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzDiffSweep$$' -fuzztime $(FUZZTIME) ./internal/dsp
 	$(GO) test -run '^$$' -fuzz FuzzDiffSweepGated -fuzztime $(FUZZTIME) ./internal/dsp
 	$(GO) test -run '^$$' -fuzz FuzzDistGate -fuzztime $(FUZZTIME) ./internal/streams
+	$(GO) test -run '^$$' -fuzz FuzzMedianFloat -fuzztime $(FUZZTIME) ./internal/dsp
 
 # Short-budget fuzz pass for CI: enough executions to catch decode-path
 # panics on adversarial input without stalling the gate.
@@ -69,14 +70,21 @@ fuzz-smoke:
 # chain-pass NMS, and the stream-level gated-vs-exact identity; then
 # the registration kernels (DESIGN.md §19): Register's output against
 # the recorded digest table, the position index against sort.Search,
-# and a fuzz pass of the squared-distance gates against dsp.Dist.
+# and a fuzz pass of the squared-distance gates against dsp.Dist; then
+# the bit-identical O(n) kernels (DESIGN.md §20): the calibrated floor
+# against its recorded digest table, a fuzz pass of the radix median
+# against sort.Float64s, incremental kmeans++ seeding against the
+# quadratic reference, and lazy rng sources against eager math/rand.
 kernel-smoke:
 	$(GO) test -run 'TestPrefixSoA|TestMedianFloat|TestSuppress' ./internal/dsp
-	$(GO) test -run 'TestGatedSweep' ./internal/edgedetect
+	$(GO) test -run 'TestGatedSweep|TestNoiseFloorDigest' ./internal/edgedetect
 	$(GO) test -run '^$$' -fuzz '^FuzzDiffSweep$$' -fuzztime 5s ./internal/dsp
 	$(GO) test -run '^$$' -fuzz FuzzDiffSweepGated -fuzztime 5s ./internal/dsp
 	$(GO) test -run 'TestRegisterDigest|TestLowerBound|TestLatticeMemo|TestDistGate' ./internal/streams
 	$(GO) test -run '^$$' -fuzz FuzzDistGate -fuzztime 5s ./internal/streams
+	$(GO) test -run '^$$' -fuzz FuzzMedianFloat -fuzztime 5s ./internal/dsp
+	$(GO) test -run 'TestSeedPlusPlus' ./internal/cluster
+	$(GO) test -run 'TestLazySource' ./internal/rng
 
 # Observability smoke: the golden-trace corpus (batch + streaming,
 # byte-for-byte against testdata/golden/) and the metrics conservation

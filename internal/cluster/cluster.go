@@ -163,7 +163,11 @@ func kmeansFrom(points []complex128, centroids []complex128, maxIter int) *Resul
 
 // seedPlusPlus picks initial centroids with the kmeans++ rule: each
 // next seed is drawn with probability proportional to its squared
-// distance from the nearest existing seed.
+// distance from the nearest existing seed. d2 keeps each point's
+// running minimum over the seeds so far, folding in only the newest
+// seed per step: the minimum of the same distances under the same
+// strict `<`, so the draws — and the seeds — are bit-identical to
+// rescanning every seed (DESIGN.md §20).
 func seedPlusPlus(points []complex128, k int, src *rng.Source) []complex128 {
 	centroids := make([]complex128, 0, k)
 	if len(points) == 0 {
@@ -171,17 +175,17 @@ func seedPlusPlus(points []complex128, k int, src *rng.Source) []complex128 {
 	}
 	centroids = append(centroids, points[src.Intn(len(points))])
 	d2 := make([]float64, len(points))
+	for i := range d2 {
+		d2[i] = math.Inf(1)
+	}
 	for len(centroids) < k {
+		newest := centroids[len(centroids)-1]
 		var total float64
 		for i, p := range points {
-			best := math.Inf(1)
-			for _, c := range centroids {
-				if d := sqDist(p, c); d < best {
-					best = d
-				}
+			if d := sqDist(p, newest); d < d2[i] {
+				d2[i] = d
 			}
-			d2[i] = best
-			total += best
+			total += d2[i]
 		}
 		if total == 0 {
 			// All remaining points coincide with seeds; duplicate one.

@@ -83,19 +83,33 @@ func (p *Prefix) Differential(pos, gap, win int64) complex128 {
 	return after - before
 }
 
-// MedianFloat returns the median of xs. It copies into pooled scratch
-// and quickselects — O(n) instead of a full sort, yielding the exact
-// same order statistics (NaNs ordering first, as in sort.Float64s).
-// xs is not modified. Returns 0 for an empty slice.
+// MedianFloat returns the median of xs: the middle order statistic,
+// or the mean of the two middle ones for even length, bit-identical to
+// taking them from a sort.Float64s copy (NaNs ordering first), except
+// that a zero median of an input holding both −0 and +0 may carry
+// either sign: the two are equal in that order, so the sort fixes
+// neither's place. Long inputs of non-negative, non-NaN values —
+// differential magnitudes — take a radix select; the rest copy into
+// pooled scratch and quickselect (select.go). xs is not modified.
+// Returns 0 for an empty slice.
 func MedianFloat(xs []float64) float64 {
-	if len(xs) == 0 {
+	n := len(xs)
+	if n == 0 {
 		return 0
 	}
-	cp := pool.Float(len(xs))
+	m := n / 2
+	if n >= radixMin {
+		if lo, hi, ok := radixSelect(xs, (n-1)/2, m); ok {
+			if n%2 == 0 {
+				return (lo + hi) / 2
+			}
+			return hi
+		}
+	}
+	cp := pool.FloatUninit(n)
 	copy(cp, xs)
-	m := len(cp) / 2
 	med := selectFloat(cp, m)
-	if len(cp)%2 == 0 {
+	if n%2 == 0 {
 		med = (maxFloat(cp[:m]) + med) / 2
 	}
 	pool.PutFloat(cp)

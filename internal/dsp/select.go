@@ -2,12 +2,26 @@
 // detector takes one median per capture over the full differential
 // series — with sort.Float64s that was the single largest flat cost in
 // the edge-detection profile (an O(n log n) pdqsort of ~10⁵ floats per
-// epoch). Quickselect returns the identical order statistic in O(n):
-// the k-th smallest value under a total order does not depend on the
-// algorithm that finds it.
+// epoch). Two selection kernels return the identical order statistic
+// in O(n), because the k-th smallest value under a total order does
+// not depend on the algorithm that finds it (DESIGN.md §20):
+//
+//   - radixSelect, an MSD radix select on the IEEE bits, for inputs of
+//     at least radixMin elements that are all non-negative and not NaN.
+//     For such values the bits read as uint64 sort exactly like the
+//     values, and equal values have equal bits (−0 is excluded), so the
+//     selected bits are the sorted reference's bits.
+//   - selectFloat, a three-way quickselect under the sort.Float64s
+//     order, for everything else: short inputs, and inputs carrying a
+//     negative, a −0 or a NaN. It is also the reference the radix
+//     kernel is tested against.
 package dsp
 
-import "math"
+import (
+	"math"
+
+	"lf/internal/pool"
+)
 
 // fless orders float64s exactly like sort.Float64s / slices.Sort: NaNs
 // first, then ascending value. Matching the library order keeps the
@@ -116,4 +130,147 @@ func maxFloat(a []float64) float64 {
 		}
 	}
 	return m
+}
+
+// Radix-select geometry. A digit is radixBits wide, so one histogram
+// is 16 KB of uint32 and lives on the stack; the first digit is bits
+// 62..51 of the float (the sign bit is known clear), i.e. the exponent
+// and the leading mantissa bit.
+const (
+	radixBits    = 12
+	radixBuckets = 1 << radixBits
+	radixMask    = radixBuckets - 1
+	radixTop     = 63 - radixBits
+
+	// radixMin is the candidate count below which selection runs
+	// quickselect, both for whole inputs and for the candidates a
+	// radix level leaves: a level's histogram clear and bucket walk
+	// cost microseconds that short inputs never win back.
+	radixMin = 4096
+
+	posInfBits = 0x7FF0000000000000
+)
+
+// radixSelect returns the order statistics of ranks k1 and k2 of xs,
+// where k1 ≤ k2 ≤ k1+1 < len(xs), and ok = true; or ok = false, having
+// done nothing but read xs, when some element has its sign bit set or
+// is NaN. xs is not modified.
+//
+// Each level histograms one digit of the candidates, finds the bucket
+// holding rank k2, and compacts that bucket's candidates into pooled
+// scratch without branches; the next level reads the next digit. When
+// the two ranks fall in different buckets (the buckets between them
+// are then empty), rank k1 is the largest value of the lower bucket
+// and rank k2 the smallest of the upper one, and one pass finishes.
+func radixSelect(xs []float64, k1, k2 int) (lo, hi float64, ok bool) {
+	var hist [radixBuckets]uint32
+	// bad collects the sign bit of b and of posInfBits−b: set by a
+	// negative (or −0) b, and by a positive NaN's bits above +Inf.
+	var bad uint64
+	for _, x := range xs {
+		b := math.Float64bits(x)
+		bad |= b | (posInfBits - b)
+		hist[b>>radixTop&radixMask]++
+	}
+	if bad>>63 != 0 {
+		return 0, 0, false
+	}
+	src := xs
+	var buf []float64
+	shift := uint(radixTop)
+	for {
+		b1, b2, below := radixBuckets2(&hist, k1, k2)
+		if b1 != b2 {
+			lo, hi = radixStraddle(src, shift, b1, b2)
+			break
+		}
+		k1 -= below
+		k2 -= below
+		n := int(hist[b1])
+		switch {
+		case buf == nil:
+			// Leave xs behind (with a constant shift on this hottest
+			// pass). One slot of slack: the branch-free compaction
+			// stores every element at the write index before
+			// deciding to keep it.
+			buf = pool.FloatUninit(n + 1)
+			src = radixCompact(buf, xs, radixTop, uint64(b1))
+		case n < len(src):
+			src = radixCompact(buf, src, shift, uint64(b1))
+		}
+		if shift == 0 {
+			// Every bit is now shared: the candidates are equal.
+			lo, hi = src[k1], src[k2]
+			break
+		}
+		if n < radixMin {
+			// Few candidates left: quickselect them (they are as
+			// non-negative as the input, so its order is the bits').
+			hi = selectFloat(src, k2)
+			lo = hi
+			if k1 < k2 {
+				lo = maxFloat(src[:k2])
+			}
+			break
+		}
+		shift = uint(max(int(shift)-radixBits, 0))
+		hist = [radixBuckets]uint32{}
+		for _, x := range src {
+			hist[math.Float64bits(x)>>shift&radixMask]++
+		}
+	}
+	if buf != nil {
+		pool.PutFloat(buf)
+	}
+	return lo, hi, true
+}
+
+// radixBuckets2 walks the cumulative histogram to the buckets holding
+// ranks k1 and k2, returning them with the count of elements in lower
+// buckets than b1.
+func radixBuckets2(hist *[radixBuckets]uint32, k1, k2 int) (b1, b2, below int) {
+	cum, b := 0, 0
+	for cum+int(hist[b]) <= k1 {
+		cum += int(hist[b])
+		b++
+	}
+	b1, below = b, cum
+	for cum+int(hist[b]) <= k2 {
+		cum += int(hist[b])
+		b++
+	}
+	return b1, b, below
+}
+
+// radixCompact copies the elements of src whose digit at shift is d to
+// the front of dst, in order, and returns them. dst needs one slot
+// beyond the kept count and may alias src (the write index never
+// passes the read index). The store is unconditional and the index
+// advances by the comparison's 0/1 result, so a bucket that holds a
+// random fraction of the input costs no mispredicted branches.
+func radixCompact(dst, src []float64, shift uint, d uint64) []float64 {
+	j := 0
+	for _, x := range src {
+		dst[j] = x
+		diff := (math.Float64bits(x) >> shift & radixMask) ^ d // 0 iff kept
+		j += int((diff - 1) >> 63)
+	}
+	return dst[:j]
+}
+
+// radixStraddle returns the largest element of src whose digit at
+// shift is b1 and the smallest whose digit is b2, comparing bits.
+func radixStraddle(src []float64, shift uint, b1, b2 int) (lo, hi float64) {
+	var l uint64
+	h := uint64(math.MaxUint64)
+	for _, x := range src {
+		b := math.Float64bits(x)
+		switch int(b >> shift & radixMask) {
+		case b1:
+			l = max(l, b)
+		case b2:
+			h = min(h, b)
+		}
+	}
+	return math.Float64frombits(l), math.Float64frombits(h)
 }

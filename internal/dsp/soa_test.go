@@ -1,10 +1,10 @@
 package dsp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 )
 
@@ -224,15 +224,6 @@ func FuzzDiffSweepGated(f *testing.F) {
 // sorted-slice definition on random data, heavy ties, and NaNs.
 func TestMedianFloatMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	sortedMedian := func(xs []float64) float64 {
-		cp := append([]float64(nil), xs...)
-		sort.Float64s(cp)
-		m := len(cp) / 2
-		if len(cp)%2 == 1 {
-			return cp[m]
-		}
-		return (cp[m-1] + cp[m]) / 2
-	}
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(400)
 		xs := make([]float64, n)
@@ -246,19 +237,7 @@ func TestMedianFloatMatchesSort(t *testing.T) {
 				xs[i] = rng.NormFloat64() * 100
 			}
 		}
-		orig := append([]float64(nil), xs...)
-		got := MedianFloat(xs)
-		want := sortedMedian(orig)
-		same := got == want || (math.IsNaN(got) && math.IsNaN(want))
-		if !same {
-			t.Fatalf("trial %d (n=%d): MedianFloat %v != sorted median %v", trial, n, got, want)
-		}
-		for i := range xs {
-			o := orig[i]
-			if xs[i] != o && !(math.IsNaN(xs[i]) && math.IsNaN(o)) {
-				t.Fatalf("trial %d: input mutated at %d", trial, i)
-			}
-		}
+		checkMedian(t, fmt.Sprintf("trial %d", trial), xs)
 	}
 }
 
