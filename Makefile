@@ -121,11 +121,20 @@ sic-smoke:
 # matrix (reader push blocks {1,4096,whole} x capture faults x
 # transport fault kinds at severity 0.5 — every cell asserting
 # byte-identity against independent local streaming decodes), and a
-# four-reader loopback gateway run with the identity check enforced.
+# four-reader loopback gateway run with the identity check enforced;
+# then, without the race detector (whose sync.Pool drops buffers at
+# random), the zero-allocation ingest path: chunk and frame bytes
+# against the pre-reuse encoders, the steady-state chunk round trip's
+# allocation count at two chunk sizes, the resume over a rebased
+# pending buffer, and the pool's allocation-free round trip.
 gate-smoke:
 	$(GO) test -race -count=3 ./internal/gate
 	$(GO) test -race -run 'TestGateway' .
 	$(GO) run ./cmd/lfgate -demo -readers 4 -check
+	$(GO) test -run 'TestChunkCodecMatchesReference|TestChunkPathAllocs|TestClientResumeOverRebasedPending' ./internal/gate
+	$(GO) test -run 'TestSendMatchesReference|TestReadFrameReusesBuffer|TestReadFrameRejectsOversizedBeforeAllocation' ./internal/wire
+	$(GO) test -run 'TestSampleCodecBitExact' ./internal/iq
+	$(GO) test -run 'TestRoundTripAllocFree' ./internal/pool
 
 # One-epoch robustness sweep: fault injection across severities with
 # the streaming==batch degraded-identity check enforced per point.

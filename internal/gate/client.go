@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"lf/internal/fault"
+	"lf/internal/wire"
 )
 
 // ErrFlushed reports that the gateway finalized the session before the
@@ -90,11 +91,32 @@ type Client struct {
 	fails   int    // consecutive failed attempts
 	rng     uint64
 
-	acked   int64        // samples the gateway has acknowledged
-	pending []complex128 // pushed but unacknowledged samples [acked, …)
-	done    bool
-	frames  uint32
-	fatal   error
+	// buf holds the pushed samples not yet acknowledged: buf[head:],
+	// the first at capture offset acked (see pending). Acked samples
+	// are dropped from the front by advancing head, and the backing
+	// array is reused: buf rebases to its start once pending drains,
+	// and slides the tail down before it would grow.
+	acked int64
+	buf   []complex128
+	head  int
+	frame wire.Buf // every frame this client sends or receives
+
+	done   bool
+	frames uint32
+	fatal  error
+}
+
+// pending returns the pushed but unacknowledged samples [acked, …).
+func (c *Client) pending() []complex128 { return c.buf[c.head:] }
+
+// advance drops n acknowledged samples from the front of pending,
+// rebasing onto the start of the backing array once pending drains.
+func (c *Client) advance(n int) {
+	c.head += n
+	c.acked += int64(n)
+	if c.head == len(c.buf) {
+		c.buf, c.head = c.buf[:0], 0
+	}
 }
 
 // DialClient opens (or resumes) a gateway session.
@@ -212,12 +234,12 @@ func (c *Client) handshake() error {
 	}
 	conn = c.cfg.Transport.Wrap(conn, c.attempt)
 	hello := &wireHello{Version: protoVersion, Name: c.cfg.Name, Nonce: c.cfg.Nonce, Rate: c.cfg.SampleRate}
-	if err := writeFrame(conn, msgHello, hello.encode()); err != nil {
+	if err := proto.WriteFrame(conn, &c.frame, msgHello, hello.encode()); err != nil {
 		conn.Close()
 		return err
 	}
 	conn.SetReadDeadline(time.Now().Add(c.cfg.AckTimeout))
-	typ, payload, err := readFrame(conn)
+	typ, payload, err := proto.ReadFrame(conn, &c.frame)
 	if err != nil {
 		conn.Close()
 		return err
@@ -260,13 +282,13 @@ func (c *Client) handshake() error {
 	// Resume: the gateway holds w.Have samples; drop the acknowledged
 	// prefix and resend only the tail.
 	adv := w.Have - c.acked
+	pending := len(c.pending())
 	switch {
 	case adv == 0:
-	case adv > 0 && adv <= int64(len(c.pending)):
+	case adv > 0 && adv <= int64(pending):
 		c.cfg.Logf("gate: reader %q: resumed at %d (+%d acked while away)", c.cfg.Name, w.Have, adv)
-		c.pending = c.pending[adv:]
-		c.acked = w.Have
-	case adv > 0 && len(c.pending) == 0 && c.acked == 0:
+		c.advance(int(adv))
+	case adv > 0 && pending == 0 && c.acked == 0:
 		// A fresh client adopting an in-progress session (the reader
 		// process restarted): start at the gateway's high-water mark.
 		// The caller checks Acked() and supplies samples from there.
@@ -274,7 +296,7 @@ func (c *Client) handshake() error {
 		c.acked = w.Have
 	default:
 		conn.Close()
-		return wireErrf("welcome resume offset %d outside [%d, %d]", w.Have, c.acked, c.acked+int64(len(c.pending)))
+		return wireErrf("welcome resume offset %d outside [%d, %d]", w.Have, c.acked, c.acked+int64(pending))
 	}
 	c.conn = conn
 	return nil
@@ -292,8 +314,15 @@ func (c *Client) Push(block []complex128) error {
 	if c.done {
 		return ErrFlushed
 	}
-	c.pending = append(c.pending, block...)
-	for len(c.pending) >= c.cfg.ChunkSamples {
+	if c.head > 0 && len(c.buf)+len(block) > cap(c.buf) {
+		// Slide the unacknowledged tail to the front before appending,
+		// so the backing array grows only when pending itself outgrows
+		// it.
+		n := copy(c.buf, c.pending())
+		c.buf, c.head = c.buf[:n], 0
+	}
+	c.buf = append(c.buf, block...)
+	for len(c.pending()) >= c.cfg.ChunkSamples {
 		if err := c.sendChunk(c.cfg.ChunkSamples); err != nil {
 			return err
 		}
@@ -311,8 +340,8 @@ func (c *Client) sendChunk(n int) error {
 		if c.done {
 			return ErrFlushed
 		}
-		if n > len(c.pending) {
-			n = len(c.pending)
+		if n > len(c.pending()) {
+			n = len(c.pending())
 		}
 		if n == 0 {
 			return nil
@@ -323,14 +352,13 @@ func (c *Client) sendChunk(n int) error {
 			}
 			continue // done/pending may have changed
 		}
-		chunk := &wireChunk{Base: c.acked, Samples: c.pending[:n]}
-		if err := writeFrame(c.conn, msgChunk, chunk.encode()); err != nil {
+		if err := writeChunk(c.conn, &c.frame, c.acked, c.pending()[:n]); err != nil {
 			c.cfg.Logf("gate: reader %q: send: %v", c.cfg.Name, err)
 			c.dropConn()
 			continue
 		}
 		c.conn.SetReadDeadline(time.Now().Add(c.cfg.AckTimeout))
-		typ, payload, err := readFrame(c.conn)
+		typ, payload, err := proto.ReadFrame(c.conn, &c.frame)
 		if err != nil {
 			c.cfg.Logf("gate: reader %q: await ack: %v", c.cfg.Name, err)
 			c.dropConn()
@@ -344,12 +372,11 @@ func (c *Client) sendChunk(n int) error {
 				continue
 			}
 			adv := a.Have - c.acked
-			if adv < 0 || adv > int64(len(c.pending)) {
+			if adv < 0 || adv > int64(len(c.pending())) {
 				c.dropConn()
 				continue
 			}
-			c.pending = c.pending[adv:]
-			c.acked = a.Have
+			c.advance(int(adv))
 			return nil
 		case msgErr:
 			em, derr := decodeErrMsg(payload)
@@ -374,7 +401,7 @@ func (c *Client) End() (int, error) {
 		return 0, c.fatal
 	}
 	// Drain the sub-chunk tail first.
-	for len(c.pending) > 0 {
+	for len(c.pending()) > 0 {
 		if c.done {
 			return int(c.frames), ErrFlushed
 		}
@@ -398,12 +425,12 @@ func (c *Client) End() (int, error) {
 			continue
 		}
 		end := &wireEnd{Total: c.acked}
-		if err := writeFrame(c.conn, msgEnd, end.encode()); err != nil {
+		if err := proto.WriteFrame(c.conn, &c.frame, msgEnd, end.encode()); err != nil {
 			c.dropConn()
 			continue
 		}
 		c.conn.SetReadDeadline(time.Now().Add(c.cfg.AckTimeout))
-		typ, payload, err := readFrame(c.conn)
+		typ, payload, err := proto.ReadFrame(c.conn, &c.frame)
 		if err != nil {
 			c.dropConn()
 			continue

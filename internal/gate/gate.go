@@ -11,6 +11,8 @@ import (
 	"lf"
 	"lf/internal/fault"
 	"lf/internal/obs"
+	"lf/internal/pool"
+	"lf/internal/wire"
 )
 
 // Config tunes the gateway.
@@ -289,8 +291,11 @@ func (g *Gateway) serve(conn net.Conn) {
 		g.mu.Unlock()
 	}()
 
+	// One frame buffer serves the connection both ways: each payload
+	// read into it is fully decoded before the reply is encoded over it.
+	var buf wire.Buf
 	conn.SetReadDeadline(time.Now().Add(g.cfg.IdleTimeout))
-	typ, payload, err := readFrame(conn)
+	typ, payload, err := proto.ReadFrame(conn, &buf)
 	if err != nil || typ != msgHello {
 		return
 	}
@@ -300,24 +305,24 @@ func (g *Gateway) serve(conn net.Conn) {
 	}
 	if hello.Version != protoVersion {
 		e := &wireErrMsg{Msg: fmt.Sprintf("gate: protocol version %d, want %d", hello.Version, protoVersion)}
-		writeFrame(conn, msgErr, e.encode())
+		proto.WriteFrame(conn, &buf, msgErr, e.encode())
 		return
 	}
 	s, welcome, err := g.attach(hello, conn)
 	if err != nil {
 		e := &wireErrMsg{Msg: err.Error()}
-		writeFrame(conn, msgErr, e.encode())
+		proto.WriteFrame(conn, &buf, msgErr, e.encode())
 		return
 	}
 	defer g.detach(s, conn)
-	if err := writeFrame(conn, msgWelcome, welcome.encode()); err != nil {
+	if err := proto.WriteFrame(conn, &buf, msgWelcome, welcome.encode()); err != nil {
 		return
 	}
 	g.cfg.Logf("gate: reader %q capture %x attached from %s (resume at %d)", s.name, s.nonce, conn.RemoteAddr(), welcome.Have)
 
 	for {
 		conn.SetReadDeadline(time.Now().Add(g.cfg.IdleTimeout))
-		typ, payload, err := readFrame(conn)
+		typ, payload, err := proto.ReadFrame(conn, &buf)
 		if err != nil {
 			return
 		}
@@ -329,15 +334,16 @@ func (g *Gateway) serve(conn net.Conn) {
 				return
 			}
 			have, err := g.pushChunk(s, conn, c)
+			pool.PutComplex(c.Samples)
 			if err != nil {
 				if s.isFailed() {
 					e := &wireErrMsg{Msg: err.Error()}
-					writeFrame(conn, msgErr, e.encode())
+					proto.WriteFrame(conn, &buf, msgErr, e.encode())
 				}
 				return
 			}
 			ack := &wireAck{Have: have}
-			if err := writeFrame(conn, msgAck, ack.encode()); err != nil {
+			if err := proto.WriteFrame(conn, &buf, msgAck, ack.encode()); err != nil {
 				return
 			}
 		case msgEnd:
@@ -349,12 +355,12 @@ func (g *Gateway) serve(conn net.Conn) {
 			if err != nil {
 				if s.isFailed() {
 					e := &wireErrMsg{Msg: err.Error()}
-					writeFrame(conn, msgErr, e.encode())
+					proto.WriteFrame(conn, &buf, msgErr, e.encode())
 				}
 				return
 			}
 			done := &wireDone{Frames: frames}
-			if err := writeFrame(conn, msgDone, done.encode()); err != nil {
+			if err := proto.WriteFrame(conn, &buf, msgDone, done.encode()); err != nil {
 				return
 			}
 		default:
@@ -438,8 +444,10 @@ func (g *Gateway) detach(s *session, conn net.Conn) {
 // session's decoder. The admission gate is the backpressure mechanism:
 // while the session's RetainedBytes sits at or above MaxRetained the
 // chunk waits (and with it the ack, and with that the reader), up to
-// MaxThrottle. Returns the new cumulative high-water mark.
-func (g *Gateway) pushChunk(s *session, conn net.Conn, c *wireChunk) (int64, error) {
+// MaxThrottle. Returns the new cumulative high-water mark. The chunk's
+// samples are only borrowed — StreamDecoder.Push copies whatever it
+// keeps — so the caller recycles them on every return.
+func (g *Gateway) pushChunk(s *session, conn net.Conn, c wireChunk) (int64, error) {
 	// Admission: poll the retained-bytes signal without holding the
 	// session lock for longer than a read, so a reconnect can still
 	// steal the session away from a throttled connection.

@@ -18,8 +18,11 @@
 package gate
 
 import (
+	"encoding/binary"
 	"io"
 
+	"lf/internal/iq"
+	"lf/internal/pool"
 	"lf/internal/wire"
 )
 
@@ -77,18 +80,6 @@ const (
 // the reader reconnects and resumes. It is never fatal to a capture.
 func wireErrf(format string, args ...any) error {
 	return proto.Errf(format, args...)
-}
-
-// writeFrame sends one frame. The payload is borrowed, not retained.
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	return proto.WriteFrame(w, typ, payload)
-}
-
-// readFrame reads and verifies one frame, returning its type and
-// payload. Errors distinguish transport failures (returned verbatim)
-// from framing violations (*wire.Error).
-func readFrame(r io.Reader) (byte, []byte, error) {
-	return proto.ReadFrame(r)
 }
 
 // wireHello opens (or resumes) a session. Nonce distinguishes captures
@@ -161,48 +152,54 @@ func decodeWelcome(p []byte) (*wireWelcome, error) {
 // absolute offset of Samples[0] in the capture; the session contract
 // is strictly in-order, so Base must equal the session's current
 // high-water mark (the welcome frame told the reader where that is).
+// On the wire a chunk is base(8, LE) | count(4, LE) | samples, each
+// sample in the shared iq sample layout.
 type wireChunk struct {
 	Base    int64
 	Samples []complex128
 }
 
-func (c *wireChunk) encode() []byte {
-	e := wire.Enc{B: make([]byte, 0, 12+16*len(c.Samples))}
-	e.I64(c.Base)
-	e.U32(uint32(len(c.Samples)))
-	for _, s := range c.Samples {
-		e.F64(real(s))
-		e.F64(imag(s))
+// chunkHeader is a chunk payload's size before its samples.
+const chunkHeader = 8 + 4
+
+// writeChunk encodes a chunk in place inside buf, the sender's reused
+// frame buffer, and sends it: the samples are serialized once, straight
+// into the frame, with no intermediate payload.
+func writeChunk(w io.Writer, buf *wire.Buf, base int64, samples []complex128) error {
+	p, err := proto.Payload(buf, chunkHeader+iq.SampleBytes*len(samples))
+	if err != nil {
+		return err
 	}
-	return e.B
+	binary.LittleEndian.PutUint64(p[0:8], uint64(base))
+	binary.LittleEndian.PutUint32(p[8:12], uint32(len(samples)))
+	iq.PutSamples(p[chunkHeader:], samples)
+	return proto.Send(w, buf, msgChunk)
 }
 
-func decodeChunk(p []byte) (*wireChunk, error) {
+// decodeChunk decodes a chunk payload. Samples comes from
+// pool.ComplexUninit; the caller owns it and recycles it with
+// pool.PutComplex once the samples are pushed.
+func decodeChunk(p []byte) (wireChunk, error) {
 	d := wire.NewDec(p)
 	base := d.I64()
 	n := d.U32()
 	if err := d.Err(); err != nil {
-		return nil, err
+		return wireChunk{}, err
 	}
 	if base < 0 {
-		return nil, wireErrf("chunk: negative base %d", base)
+		return wireChunk{}, wireErrf("chunk: negative base %d", base)
 	}
 	if n > maxChunkSamples {
-		return nil, wireErrf("chunk: %d samples exceeds max %d", n, maxChunkSamples)
+		return wireChunk{}, wireErrf("chunk: %d samples exceeds max %d", n, maxChunkSamples)
 	}
 	// Bound the declared count against the remaining payload before
 	// allocating, so a corrupt count can neither read out of bounds nor
 	// allocate gigabytes.
-	if uint64(len(d.B)) != uint64(n)*16 {
-		return nil, wireErrf("chunk: %d samples but %d payload bytes", n, len(d.B))
+	if uint64(len(d.B)) != uint64(n)*iq.SampleBytes {
+		return wireChunk{}, wireErrf("chunk: %d samples but %d payload bytes", n, len(d.B))
 	}
-	c := &wireChunk{Base: base, Samples: make([]complex128, n)}
-	for i := range c.Samples {
-		c.Samples[i] = complex(d.F64(), d.F64())
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
+	c := wireChunk{Base: base, Samples: pool.ComplexUninit(int(n))}
+	iq.GetSamples(c.Samples, d.B)
 	return c, nil
 }
 

@@ -12,7 +12,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
 	"lf/internal/pool"
 )
@@ -64,7 +63,7 @@ func NewBlockReader(r io.Reader) (*BlockReader, error) {
 		return nil, fmt.Errorf("iq: implausible sample count %d", count)
 	}
 	b.count = int64(count)
-	b.buf = pool.Bytes(16 * ioChunkSamples)
+	b.buf = pool.Bytes(SampleBytes * ioChunkSamples)
 	return b, nil
 }
 
@@ -97,18 +96,14 @@ func (b *BlockReader) Read(dst []complex128) (int, error) {
 		if n > ioChunkSamples {
 			n = ioChunkSamples
 		}
-		raw := b.buf[:16*n]
+		raw := b.buf[:SampleBytes*n]
 		if _, err := io.ReadFull(b.br, raw); err != nil {
 			if err == io.EOF {
 				err = io.ErrUnexpectedEOF
 			}
 			return done, fmt.Errorf("iq: reading samples %d..%d: %w", b.read, b.read+int64(n), err)
 		}
-		for i := 0; i < n; i++ {
-			re := math.Float64frombits(binary.LittleEndian.Uint64(raw[16*i:]))
-			im := math.Float64frombits(binary.LittleEndian.Uint64(raw[16*i+8:]))
-			dst[done+i] = complex(re, im)
-		}
+		GetSamples(dst[done:done+n], raw)
 		done += n
 		b.read += int64(n)
 	}

@@ -19,7 +19,6 @@ import (
 	"bufio"
 	"encoding/binary"
 	"io"
-	"math"
 
 	"lf/internal/pool"
 )
@@ -73,19 +72,16 @@ func (c *Capture) WriteTo(w io.Writer) (int64, error) {
 		return n, err
 	}
 	// Samples stream out in pooled fixed-size blocks: marshal a chunk
-	// with direct little-endian stores, write it, recycle the buffer.
-	buf := pool.Bytes(16 * ioChunkSamples)
+	// with the shared sample codec, write it, recycle the buffer.
+	buf := pool.Bytes(SampleBytes * ioChunkSamples)
 	defer pool.PutBytes(buf)
 	for lo := 0; lo < len(c.Samples); lo += ioChunkSamples {
 		hi := lo + ioChunkSamples
 		if hi > len(c.Samples) {
 			hi = len(c.Samples)
 		}
-		b := buf[:16*(hi-lo)]
-		for i, s := range c.Samples[lo:hi] {
-			binary.LittleEndian.PutUint64(b[16*i:], math.Float64bits(real(s)))
-			binary.LittleEndian.PutUint64(b[16*i+8:], math.Float64bits(imag(s)))
-		}
+		b := buf[:SampleBytes*(hi-lo)]
+		PutSamples(b, c.Samples[lo:hi])
 		wrote, err := bw.Write(b)
 		n += int64(wrote)
 		if err != nil {

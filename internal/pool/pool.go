@@ -20,21 +20,56 @@ import "sync"
 // forcing reallocation for every real epoch-sized request).
 const minRetain = 1 << 10
 
+// slices is a sync.Pool of []T that recycles its boxes as well as its
+// buffers: a sync.Pool holds pointers, and boxing a slice header for
+// every Put would cost a heap allocation per round trip. The box a Get
+// empties is parked in boxes for the next Put to reuse, so a Get+Put
+// pair at steady state allocates nothing.
+type slices[T any] struct {
+	bufs  sync.Pool // *[]T, each holding a recyclable buffer
+	boxes sync.Pool // *[]T, empty, ready for the next Put
+}
+
+// get returns a pooled buffer resliced to n, or nil when the pool is
+// empty or its buffer is too small (which is then dropped).
+func (p *slices[T]) get(n int) []T {
+	v := p.bufs.Get()
+	if v == nil {
+		return nil
+	}
+	box := v.(*[]T)
+	buf := *box
+	*box = nil
+	p.boxes.Put(box)
+	if cap(buf) < n {
+		return nil
+	}
+	return buf[:n]
+}
+
+func (p *slices[T]) put(buf []T) {
+	if cap(buf) < minRetain {
+		return
+	}
+	box, _ := p.boxes.Get().(*[]T)
+	if box == nil {
+		box = new([]T)
+	}
+	*box = buf
+	p.bufs.Put(box)
+}
+
 var (
-	complexPool sync.Pool // *[]complex128
-	floatPool   sync.Pool // *[]float64
-	bytePool    sync.Pool // *[]byte
+	complexPool slices[complex128]
+	floatPool   slices[float64]
+	bytePool    slices[byte]
 )
 
 // Complex returns a zeroed []complex128 of length n.
 func Complex(n int) []complex128 {
-	if v := complexPool.Get(); v != nil {
-		buf := *v.(*[]complex128)
-		if cap(buf) >= n {
-			buf = buf[:n]
-			clear(buf)
-			return buf
-		}
+	if buf := complexPool.get(n); buf != nil {
+		clear(buf)
+		return buf
 	}
 	return make([]complex128, n)
 }
@@ -45,32 +80,21 @@ func Complex(n int) []complex128 {
 // epoch scale the memclr of a multi-MiB recycled buffer is pure memory
 // bandwidth spent on values the caller immediately replaces.
 func ComplexUninit(n int) []complex128 {
-	if v := complexPool.Get(); v != nil {
-		buf := *v.(*[]complex128)
-		if cap(buf) >= n {
-			return buf[:n]
-		}
+	if buf := complexPool.get(n); buf != nil {
+		return buf
 	}
 	return make([]complex128, n)
 }
 
 // PutComplex recycles a buffer obtained from Complex (or anywhere
 // else). The caller must not use buf after the call.
-func PutComplex(buf []complex128) {
-	if cap(buf) >= minRetain {
-		complexPool.Put(&buf)
-	}
-}
+func PutComplex(buf []complex128) { complexPool.put(buf) }
 
 // Float returns a zeroed []float64 of length n.
 func Float(n int) []float64 {
-	if v := floatPool.Get(); v != nil {
-		buf := *v.(*[]float64)
-		if cap(buf) >= n {
-			buf = buf[:n]
-			clear(buf)
-			return buf
-		}
+	if buf := floatPool.get(n); buf != nil {
+		clear(buf)
+		return buf
 	}
 	return make([]float64, n)
 }
@@ -79,39 +103,24 @@ func Float(n int) []float64 {
 // overwrite every element — e.g. a shard-sweep stripe buffer whose
 // kernel writes the full destination range.
 func FloatUninit(n int) []float64 {
-	if v := floatPool.Get(); v != nil {
-		buf := *v.(*[]float64)
-		if cap(buf) >= n {
-			return buf[:n]
-		}
+	if buf := floatPool.get(n); buf != nil {
+		return buf
 	}
 	return make([]float64, n)
 }
 
 // PutFloat recycles a buffer obtained from Float.
-func PutFloat(buf []float64) {
-	if cap(buf) >= minRetain {
-		floatPool.Put(&buf)
-	}
-}
+func PutFloat(buf []float64) { floatPool.put(buf) }
 
 // Bytes returns a zeroed []byte of length n (capture-container IO
 // blocks).
 func Bytes(n int) []byte {
-	if v := bytePool.Get(); v != nil {
-		buf := *v.(*[]byte)
-		if cap(buf) >= n {
-			buf = buf[:n]
-			clear(buf)
-			return buf
-		}
+	if buf := bytePool.get(n); buf != nil {
+		clear(buf)
+		return buf
 	}
 	return make([]byte, n)
 }
 
 // PutBytes recycles a buffer obtained from Bytes.
-func PutBytes(buf []byte) {
-	if cap(buf) >= minRetain {
-		bytePool.Put(&buf)
-	}
-}
+func PutBytes(buf []byte) { bytePool.put(buf) }

@@ -1,6 +1,10 @@
 package pool
 
-import "testing"
+import (
+	"runtime"
+	"sync"
+	"testing"
+)
 
 func TestComplexZeroedAndRecycled(t *testing.T) {
 	buf := Complex(2048)
@@ -50,4 +54,55 @@ func TestTinyBuffersNotRetained(t *testing.T) {
 	PutFloat(make([]float64, 8))
 	PutComplex(nil)
 	PutBytes(make([]byte, 16))
+}
+
+// TestRoundTripAllocFree pins the boxing fix: at steady state a
+// Get+Put round trip through each pool allocates nothing — the box a
+// Get empties carries the next Put's buffer.
+func TestRoundTripAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops Puts at random")
+	}
+	PutComplex(make([]complex128, 4096))
+	PutFloat(make([]float64, 4096))
+	PutBytes(make([]byte, 4096))
+	for name, f := range map[string]func(){
+		"Complex":       func() { PutComplex(Complex(4096)) },
+		"ComplexUninit": func() { PutComplex(ComplexUninit(4096)) },
+		"Float":         func() { PutFloat(Float(4096)) },
+		"FloatUninit":   func() { PutFloat(FloatUninit(4096)) },
+		"Bytes":         func() { PutBytes(Bytes(4096)) },
+	} {
+		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+			t.Errorf("%s: %v allocations per Get+Put", name, allocs)
+		}
+	}
+}
+
+// TestConcurrentRoundTripsExclusive: goroutines cycling buffers through
+// the pool at once never hold the same buffer — each one's stamp
+// survives a yield — so recycled boxes never hand one buffer out twice.
+func TestConcurrentRoundTripsExclusive(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 1; g <= 4; g++ {
+		wg.Add(1)
+		go func(id complex128) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				buf := ComplexUninit(2048)
+				for j := range buf {
+					buf[j] = id
+				}
+				runtime.Gosched()
+				for j := range buf {
+					if buf[j] != id {
+						t.Errorf("buffer shared between goroutines: %v overwrote %v", buf[j], id)
+						return
+					}
+				}
+				PutComplex(buf)
+			}
+		}(complex(float64(g), 0))
+	}
+	wg.Wait()
 }

@@ -14,6 +14,13 @@
 // travel as IEEE-754 bit patterns (math.Float64bits), so shipped
 // samples are bit-exact across hosts.
 //
+// There is one framing implementation, over a caller-kept Buf reused
+// across frames: Payload+Send encode a frame's payload in place and
+// seal it with no copy or allocation, WriteFrame copies a ready-made
+// payload in first, and ReadFrame reads a frame into the buffer (its
+// payload valid until the buffer's next use). A nil Buf stands for a
+// fresh one.
+//
 // Framing violations (bad magic, CRC mismatch, oversized payload,
 // trailing bytes) surface as *wire.Error so protocol layers can treat
 // them like a dead connection — recoverable by reconnect/retry, never
@@ -62,54 +69,106 @@ func (p Proto) Errf(format string, args ...any) error {
 	return &Error{proto: p.Name, msg: fmt.Sprintf(format, args...)}
 }
 
-// WriteFrame sends one frame. The payload is borrowed, not retained.
-func (p Proto) WriteFrame(w io.Writer, typ byte, payload []byte) error {
-	if len(payload) > p.MaxPayload {
-		return p.Errf("payload %d exceeds max %d", len(payload), p.MaxPayload)
+// Buf is a frame buffer reused across frames, in either direction: a
+// writer encodes each outgoing payload in place inside it (Payload,
+// then Send), a reader receives each frame's body into it
+// (ReadFrame). It grows to the largest frame it has held and never
+// shrinks, so a connection streaming same-sized frames allocates once.
+// The zero value is ready to use; a Buf is not safe for concurrent
+// use.
+type Buf struct{ b []byte }
+
+// frameBytes returns the buffer resliced to n bytes, growing it first
+// if its capacity is short. Contents are unspecified: every caller
+// overwrites the bytes it uses.
+func (f *Buf) frameBytes(n int) []byte {
+	if cap(f.b) < n {
+		f.b = make([]byte, n)
 	}
-	buf := make([]byte, headerLen+len(payload)+trailerLen)
-	buf[0], buf[1], buf[2] = p.Magic0, p.Magic1, typ
-	binary.LittleEndian.PutUint32(buf[3:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[7:], crc32.ChecksumIEEE(buf[2:7]))
-	copy(buf[headerLen:], payload)
-	crc := crc32.ChecksumIEEE(buf[2:7])
-	crc = crc32.Update(crc, crc32.IEEETable, payload)
-	binary.LittleEndian.PutUint32(buf[headerLen+len(payload):], crc)
-	_, err := w.Write(buf)
+	f.b = f.b[:n]
+	return f.b
+}
+
+// Payload readies buf for one outgoing frame carrying an n-byte payload
+// and returns that payload's bytes, in place inside the frame, for the
+// caller to encode into; Send then frames and writes them. MaxPayload
+// is checked before the buffer grows.
+func (p Proto) Payload(buf *Buf, n int) ([]byte, error) {
+	if n > p.MaxPayload {
+		return nil, p.Errf("payload %d exceeds max %d", n, p.MaxPayload)
+	}
+	return buf.frameBytes(headerLen + n + trailerLen)[headerLen : headerLen+n], nil
+}
+
+// Send frames the payload readied by the last Payload call on buf —
+// header, header CRC and trailing CRC written around it — and sends the
+// frame with one Write. Nothing is copied or allocated.
+func (p Proto) Send(w io.Writer, buf *Buf, typ byte) error {
+	b := buf.b
+	n := len(b) - headerLen - trailerLen
+	b[0], b[1], b[2] = p.Magic0, p.Magic1, typ
+	binary.LittleEndian.PutUint32(b[3:], uint32(n))
+	hcrc := crc32.ChecksumIEEE(b[2:7])
+	binary.LittleEndian.PutUint32(b[7:], hcrc)
+	crc := crc32.Update(hcrc, crc32.IEEETable, b[headerLen:headerLen+n])
+	binary.LittleEndian.PutUint32(b[headerLen+n:], crc)
+	_, err := w.Write(b)
 	return err
 }
 
-// ReadFrame reads and verifies one frame, returning its type and
-// payload. Errors distinguish transport failures (returned verbatim,
-// e.g. io.EOF, timeouts) from framing violations (*wire.Error).
-func (p Proto) ReadFrame(r io.Reader) (byte, []byte, error) {
-	var hdr [headerLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// ReadFrame reads and verifies one frame into buf (nil: a fresh
+// buffer), returning its type and payload. The payload aliases buf: it
+// is valid only until buf's next use. Errors distinguish transport
+// failures (returned verbatim, e.g. io.EOF, timeouts) from framing
+// violations (*wire.Error); a header declaring more than MaxPayload is
+// refused before buf grows or any body byte is read.
+func (p Proto) ReadFrame(r io.Reader, buf *Buf) (byte, []byte, error) {
+	if buf == nil {
+		buf = new(Buf)
+	}
+	hdr := buf.frameBytes(headerLen)
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, nil, err
 	}
 	if hdr[0] != p.Magic0 || hdr[1] != p.Magic1 {
 		return 0, nil, p.Errf("bad magic %02x%02x", hdr[0], hdr[1])
 	}
-	if binary.LittleEndian.Uint32(hdr[7:]) != crc32.ChecksumIEEE(hdr[2:7]) {
+	typ := hdr[2]
+	hcrc := crc32.ChecksumIEEE(hdr[2:7])
+	if binary.LittleEndian.Uint32(hdr[7:]) != hcrc {
 		return 0, nil, p.Errf("header crc mismatch")
 	}
 	n := binary.LittleEndian.Uint32(hdr[3:])
 	if int64(n) > int64(p.MaxPayload) {
 		return 0, nil, p.Errf("payload length %d exceeds max %d", n, p.MaxPayload)
 	}
-	body := make([]byte, int(n)+trailerLen)
+	body := buf.frameBytes(headerLen + int(n) + trailerLen)[headerLen:]
 	if _, err := io.ReadFull(r, body); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF // the header promised a body
 		}
 		return 0, nil, err
 	}
-	crc := crc32.ChecksumIEEE(hdr[2:7])
-	crc = crc32.Update(crc, crc32.IEEETable, body[:n])
+	crc := crc32.Update(hcrc, crc32.IEEETable, body[:n])
 	if got := binary.LittleEndian.Uint32(body[n:]); got != crc {
-		return 0, nil, p.Errf("crc mismatch on type %d frame", hdr[2])
+		return 0, nil, p.Errf("crc mismatch on type %d frame", typ)
 	}
-	return hdr[2], body[:n:n], nil
+	return typ, body[:n:n], nil
+}
+
+// WriteFrame sends one frame carrying payload through buf (nil: a
+// fresh buffer). The payload is copied into the frame, not retained,
+// and must not alias buf.
+func (p Proto) WriteFrame(w io.Writer, buf *Buf, typ byte, payload []byte) error {
+	if buf == nil {
+		buf = new(Buf)
+	}
+	dst, err := p.Payload(buf, len(payload))
+	if err != nil {
+		return err
+	}
+	copy(dst, payload)
+	return p.Send(w, buf, typ)
 }
 
 // Enc is a little append-based payload encoder.

@@ -15,7 +15,7 @@ var testProto = Proto{Name: "test", Magic0: 'T', Magic1: 'P', MaxPayload: 64}
 func frame(t *testing.T, typ byte, payload []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := testProto.WriteFrame(&buf, typ, payload); err != nil {
+	if err := testProto.WriteFrame(&buf, nil, typ, payload); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -35,7 +35,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("frame of %d-byte payload is %d bytes, want %d", len(payload), len(b), want)
 		}
 		r := bytes.NewReader(append(b, 0xee)) // one byte of the next frame
-		typ, got, err := testProto.ReadFrame(r)
+		typ, got, err := testProto.ReadFrame(r, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func TestReadFrameRejectsCorruption(t *testing.T) {
 		for bit := 0; bit < 8; bit++ {
 			b := append([]byte(nil), good...)
 			b[i] ^= 1 << bit
-			_, _, err := testProto.ReadFrame(bytes.NewReader(b))
+			_, _, err := testProto.ReadFrame(bytes.NewReader(b), nil)
 			if err == nil {
 				t.Fatalf("byte %d bit %d flipped: frame accepted", i, bit)
 			}
@@ -69,10 +69,13 @@ func TestReadFrameRejectsCorruption(t *testing.T) {
 	}
 	b := append([]byte(nil), good...)
 	b[0] = 'X'
-	if _, _, err := testProto.ReadFrame(bytes.NewReader(b)); !isWireErr(err) {
+	if _, _, err := testProto.ReadFrame(bytes.NewReader(b), nil); !isWireErr(err) {
 		t.Fatalf("bad magic: got %v, want a framing error", err)
 	}
 }
+
+// errSink keeps a measured error on the heap, as a returned one is.
+var errSink error
 
 // TestReadFrameRejectsOversizedBeforeAllocation: a header declaring a
 // payload past MaxPayload is refused from the header alone — before the
@@ -90,7 +93,7 @@ func TestReadFrameRejectsOversizedBeforeAllocation(t *testing.T) {
 		// from other goroutines land in a single run's count.
 		allocs := testing.AllocsPerRun(20, func() {
 			r.Reset(append(append([]byte(nil), hdr...), 1, 2, 3))
-			_, _, err = testProto.ReadFrame(r)
+			_, _, err = testProto.ReadFrame(r, nil)
 		})
 		if !isWireErr(err) {
 			t.Fatalf("length %d: got %v, want a framing error", n, err)
@@ -101,9 +104,36 @@ func TestReadFrameRejectsOversizedBeforeAllocation(t *testing.T) {
 		if allocs > 8 {
 			t.Fatalf("length %d: %v allocations rejecting the header", n, allocs)
 		}
+
+		// Through a reused buffer the rejection allocates nothing but
+		// the error itself, and the buffer keeps its size.
+		var buf Buf
+		buf.frameBytes(headerLen + 5)
+		before := cap(buf.b)
+		errAllocs := testing.AllocsPerRun(20, func() {
+			errSink = testProto.Errf("payload length %d exceeds max %d", n, testProto.MaxPayload)
+		})
+		in := append(append([]byte(nil), hdr...), 1, 2, 3)
+		allocs = testing.AllocsPerRun(20, func() {
+			r.Reset(in)
+			_, _, err = testProto.ReadFrame(r, &buf)
+		})
+		if !isWireErr(err) || r.Len() != 3 {
+			t.Fatalf("length %d, reused buffer: got %v with %d body bytes left, want a framing error and 3", n, err, r.Len())
+		}
+		if allocs > errAllocs {
+			t.Fatalf("length %d, reused buffer: %v allocations rejecting the header, the error alone makes %v", n, allocs, errAllocs)
+		}
+		if cap(buf.b) != before {
+			t.Fatalf("length %d: reused buffer grew from %d to %d bytes", n, before, cap(buf.b))
+		}
+	}
+	var big Buf
+	if _, err := testProto.Payload(&big, testProto.MaxPayload+1); !isWireErr(err) || cap(big.b) != 0 {
+		t.Fatalf("oversized payload: err %v, buffer grew to %d bytes", err, cap(big.b))
 	}
 	var buf bytes.Buffer
-	if err := testProto.WriteFrame(&buf, 1, make([]byte, testProto.MaxPayload+1)); !isWireErr(err) || buf.Len() != 0 {
+	if err := testProto.WriteFrame(&buf, nil, 1, make([]byte, testProto.MaxPayload+1)); !isWireErr(err) || buf.Len() != 0 {
 		t.Fatalf("oversized write: err %v, %d bytes written", err, buf.Len())
 	}
 }
@@ -121,7 +151,7 @@ func TestReadFrameRejectsCorruptLengthFromHeader(t *testing.T) {
 			b := append([]byte(nil), good...)
 			b[i] ^= byte(x)
 			r := bytes.NewReader(b)
-			_, _, err := testProto.ReadFrame(r)
+			_, _, err := testProto.ReadFrame(r, nil)
 			if !isWireErr(err) {
 				t.Fatalf("length byte %d ^ %#02x: got %v, want a framing error", i, x, err)
 			}
@@ -139,7 +169,7 @@ func TestReadFrameRejectsCorruptLengthFromHeader(t *testing.T) {
 func TestReadFrameTruncated(t *testing.T) {
 	good := frame(t, 5, []byte("truncate me"))
 	for cut := 0; cut < len(good); cut++ {
-		_, _, err := testProto.ReadFrame(bytes.NewReader(good[:cut]))
+		_, _, err := testProto.ReadFrame(bytes.NewReader(good[:cut]), nil)
 		want := io.ErrUnexpectedEOF
 		if cut == 0 {
 			want = io.EOF
@@ -233,5 +263,92 @@ func TestDecRejectsShortAndTrailing(t *testing.T) {
 	d.U8()
 	if err := d.Done(); !isWireErr(err) {
 		t.Fatalf("trailing byte: Done = %v, want a framing error", err)
+	}
+}
+
+// writeFrameRef is the copying frame writer wire shipped before frames
+// were sealed in place: a fresh buffer per frame, the payload copied
+// in. Send must reproduce its bytes exactly.
+func writeFrameRef(p Proto, typ byte, payload []byte) []byte {
+	buf := make([]byte, headerLen+len(payload)+trailerLen)
+	buf[0], buf[1], buf[2] = p.Magic0, p.Magic1, typ
+	binary.LittleEndian.PutUint32(buf[3:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[7:], crc32.ChecksumIEEE(buf[2:7]))
+	copy(buf[headerLen:], payload)
+	crc := crc32.ChecksumIEEE(buf[2:7])
+	crc = crc32.Update(crc, crc32.IEEETable, payload)
+	binary.LittleEndian.PutUint32(buf[headerLen+len(payload):], crc)
+	return buf
+}
+
+// TestSendMatchesReference: frames encoded in place in one reused
+// buffer — growing, shrinking, and after it has received frames — are
+// byte-identical to the copying reference writer, go out in a single
+// Write, and read back through the same buffer intact.
+func TestSendMatchesReference(t *testing.T) {
+	var buf Buf
+	for i, n := range []int{64, 0, 1, 17, 64, 3, 0} {
+		payload := make([]byte, n)
+		for j := range payload {
+			payload[j] = byte(31*i + 7*j + 1)
+		}
+		dst, err := testProto.Payload(&buf, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(dst, payload)
+		w := &countWriter{}
+		if err := testProto.Send(w, &buf, byte(i)); err != nil {
+			t.Fatal(err)
+		}
+		if want := writeFrameRef(testProto, byte(i), payload); !bytes.Equal(w.b.Bytes(), want) {
+			t.Fatalf("frame %d (%d-byte payload): % x, want % x", i, n, w.b.Bytes(), want)
+		}
+		if w.writes != 1 {
+			t.Fatalf("frame %d went out in %d writes, want 1", i, w.writes)
+		}
+		if fresh := frame(t, byte(i), payload); !bytes.Equal(fresh, w.b.Bytes()) {
+			t.Fatalf("frame %d: WriteFrame differs from Send", i)
+		}
+		typ, got, err := testProto.ReadFrame(bytes.NewReader(w.b.Bytes()), &buf)
+		if err != nil || typ != byte(i) || !bytes.Equal(got, payload) {
+			t.Fatalf("frame %d read back as type %d payload %x, err %v", i, typ, got, err)
+		}
+	}
+}
+
+type countWriter struct {
+	b      bytes.Buffer
+	writes int
+}
+
+func (w *countWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.b.Write(p)
+}
+
+// TestReadFrameReusesBuffer: at steady state a reused buffer receives and
+// sends frames without allocating.
+func TestReadFrameReusesBuffer(t *testing.T) {
+	in := frame(t, 2, bytes.Repeat([]byte{7}, 48))
+	r := bytes.NewReader(in)
+	var buf Buf
+	var sink countWriter
+	allocs := testing.AllocsPerRun(50, func() {
+		r.Reset(in)
+		_, p, err := testProto.ReadFrame(r, &buf)
+		if err != nil || len(p) != 48 {
+			t.Fatalf("read: %d bytes, err %v", len(p), err)
+		}
+		if _, err := testProto.Payload(&buf, 48); err != nil {
+			t.Fatal(err)
+		}
+		sink.b.Reset()
+		if err := testProto.Send(&sink, &buf, 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per reused-buffer read+write", allocs)
 	}
 }
